@@ -359,7 +359,7 @@ def cmd_sweep(args) -> int:
     else:
         _write_json([r.to_dict() for r in reports], args.output)
     verdicts = [r.verdict for r in reports]
-    ok = "fail" not in verdicts and verdicts.count("pass") >= 1
+    ok = "fail" not in verdicts and "error" not in verdicts and "pass" in verdicts
     return 0 if ok else 1
 
 

@@ -25,6 +25,7 @@ from .formulas import (
 )
 from .graphs import (
     Graph,
+    OrderCapError,
     check_order,
     complete_bipartite,
     complete_graph,
@@ -187,7 +188,9 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def skipped(cls, corollary_id, kind, parameters, method, message) -> "VerificationReport":
+    def unverified(cls, corollary_id, kind, parameters, method, verdict,
+                   message) -> "VerificationReport":
+        """A report without members: verdict "skipped" or "error", and why."""
         return cls(
             corollary_id=corollary_id,
             kind=kind,
@@ -198,7 +201,7 @@ class VerificationReport:
             orders_equal=None,
             energies_equal=None,
             cospectral=None,
-            verdict="skipped",
+            verdict=verdict,
             error=message,
         )
 
@@ -655,7 +658,9 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
     list; the grid is their cartesian product, walked in the family's
     declared parameter order. Grid points outside the family's domain (or
     beyond the dense-order cap) yield "skipped" reports instead of aborting
-    the sweep. Reports come back in grid order regardless of `jobs`.
+    the sweep; any other exception at a grid point, such as a LAPACK
+    non-convergence, yields an "error" report that names it. Reports come
+    back in grid order regardless of `jobs`.
     """
     _check_method(method)
     family = get_family(corollary_id)
@@ -677,8 +682,13 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
         spec = FamilySpec(corollary_id, params, base=base, base_pair=base_pair)
         try:
             return verify(spec, method=method, tolerance=tolerance)
-        except ValueError as exc:
-            return VerificationReport.skipped(corollary_id, family.kind, params, method, str(exc))
+        except (OutOfDomainError, OrderCapError) as exc:
+            verdict, message = "skipped", str(exc)
+        except Exception as exc:  # one failing point must not end the sweep
+            verdict, message = "error", f"{type(exc).__name__}: {exc}"
+        return VerificationReport.unverified(
+            corollary_id, family.kind, params, method, verdict, message
+        )
 
     if jobs is None:
         jobs = os.cpu_count() or 1

@@ -36,11 +36,15 @@ def max_order() -> int:
     return value
 
 
+class OrderCapError(ValueError):
+    """Raised when a graph would exceed the dense-storage order cap."""
+
+
 def check_order(order: int, context: str = "graph") -> None:
-    """Raise if `order` exceeds the dense-storage cap."""
+    """Raise OrderCapError if `order` exceeds the dense-storage cap."""
     cap = max_order()
     if order > cap:
-        raise ValueError(
+        raise OrderCapError(
             f"{context} would have order {order}, exceeding the dense cap of "
             f"{cap} (raise {MAX_ORDER_ENV_VAR} to override)"
         )
@@ -96,7 +100,7 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """Sorted list of edges as (u, v) pairs with u < v."""
         rows, cols = np.nonzero(np.triu(self.adjacency, k=1))
-        return [(int(u), int(v)) for u, v in zip(rows, cols)]
+        return list(zip(rows.tolist(), cols.tolist()))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adjacency[u, v])

@@ -4,6 +4,13 @@ All three writers round-trip bit-exactly through their matching readers.
 graph6 is the compact interchange format; Matrix Market (coordinate pattern
 symmetric, 1-based) targets numerics tools; edge lists are human-editable
 ASCII with 0-based indices.
+
+The codecs work on whole arrays. graph6 bits go through a boolean triangle
+mask, and the text writers index a per-vertex label table. The text readers
+parse entry lines of plain ASCII digits in one `np.fromstring` call; any
+other spelling is read line by line with `int`, so both accept the same
+input. They find faulty lines with array masks and report the first one,
+with the message and check order of a line-by-line reader.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ from .graphs import Graph, check_order
 
 GRAPH6_MAX_ORDER = 258_047  # three-byte size header limit
 _GRAPH6_HEADER = b">>graph6<<"
+_BIT_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
+_BIT_SHIFTS = np.array([5, 4, 3, 2, 1, 0], dtype=np.uint8)
 
 
 def _graph6_size_bytes(n: int) -> bytes:
@@ -23,6 +32,17 @@ def _graph6_size_bytes(n: int) -> bytes:
         return bytes([n + 63])
     # 63 <= n <= 258047: '~' marker then 18 bits, big-endian, 6 bits per byte
     return bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+
+
+def _graph6_mask(n: int) -> np.ndarray:
+    """Boolean mask of the strict lower triangle of an n x n matrix.
+
+    Read in row-major order it visits (1,0), (2,0), (2,1), (3,0), ...; for a
+    symmetric matrix that is the upper triangle column by column, graph6's bit
+    order. The mask costs one byte per entry, where `np.tril_indices` would
+    cost two int64 indices per bit.
+    """
+    return np.tri(n, k=-1, dtype=bool)
 
 
 def encode_graph6(g: Graph) -> bytes:
@@ -37,21 +57,10 @@ def encode_graph6(g: Graph) -> bytes:
         raise ValueError(
             f"graph6 supports order <= {GRAPH6_MAX_ORDER}, got {n}"
         )
-    out = bytearray(_graph6_size_bytes(n))
-    acc = 0
-    nbits = 0
-    a = g.adjacency
-    for col in range(1, n):
-        for row in range(col):
-            acc = (acc << 1) | int(a[row, col])
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out)
+    bits = g.adjacency[_graph6_mask(n)]
+    bits = np.concatenate([bits, np.zeros(-bits.size % 6, dtype=np.uint8)])
+    groups = bits.reshape(-1, 6) @ _BIT_WEIGHTS
+    return _graph6_size_bytes(n) + (groups + 63).tobytes()
 
 
 def decode_graph6(data) -> Graph:
@@ -67,9 +76,10 @@ def decode_graph6(data) -> Graph:
         data = data[len(_GRAPH6_HEADER) :]
     if not data:
         raise ValueError("empty graph6 string")
-    for b in data:
-        if not 63 <= b <= 126:
-            raise ValueError(f"non-printable graph6 byte {b}")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    outside = (raw < 63) | (raw > 126)
+    if outside.any():
+        raise ValueError(f"non-printable graph6 byte {raw[outside.argmax()]}")
 
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
@@ -82,10 +92,10 @@ def decode_graph6(data) -> Graph:
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
         if n <= 62:
             raise ValueError(f"graph6 long-form size header with order {n}")
-        body = data[4:]
+        body = raw[4:] - 63
     else:
         n = data[0] - 63
-        body = data[1:]
+        body = raw[1:] - 63
     if n < 1:
         raise ValueError("graph order must be >= 1")
     check_order(n)
@@ -96,23 +106,33 @@ def decode_graph6(data) -> Graph:
         raise ValueError(
             f"graph6 payload has {len(body)} bytes, expected {expected} for order {n}"
         )
-
-    bits = np.zeros(expected * 6, dtype=np.uint8)
-    for i, b in enumerate(body):
-        v = b - 63
-        for j in range(6):
-            bits[6 * i + j] = (v >> (5 - j)) & 1
-    if bits[nbits:].any():
+    padding = 6 * expected - nbits
+    if padding and body[-1] & ((1 << padding) - 1):
         raise ValueError("graph6 padding bits must be zero")
 
     a = np.zeros((n, n), dtype=np.uint8)
-    k = 0
-    for col in range(1, n):
-        for row in range(col):
-            a[row, col] = bits[k]
-            a[col, row] = bits[k]
-            k += 1
+    a[_graph6_mask(n)] = ((body[:, None] >> _BIT_SHIFTS) & 1).ravel()[:nbits]
+    a |= a.T
     return Graph(a)
+
+
+def _edge_lines(g: Graph, base: int, larger_first: bool) -> str:
+    """One "x y" line per edge, in `Graph.edges()` order.
+
+    Vertices are numbered from `base`; `larger_first` names the larger
+    endpoint first. The lines are joined from per-vertex "x " and "y\n"
+    label tables, so no string is formatted per edge.
+    """
+    rows, cols = np.nonzero(np.triu(g.adjacency, k=1))
+    if larger_first:
+        rows, cols = cols, rows
+    labels = range(base, g.order + base)
+    first = np.array([f"{x} " for x in labels], dtype=object)
+    second = np.array([f"{x}\n" for x in labels], dtype=object)
+    pieces = np.empty(2 * rows.size, dtype=object)
+    pieces[0::2] = first[rows]
+    pieces[1::2] = second[cols]
+    return "".join(pieces.tolist())
 
 
 def write_matrix_market(g: Graph) -> str:
@@ -121,14 +141,113 @@ def write_matrix_market(g: Graph) -> str:
     One line per edge, stored in the lower triangle (row > column) as the
     symmetric variant of the format requires.
     """
-    lines = [
-        "%%MatrixMarket matrix coordinate pattern symmetric",
-        "% undirected simple graph adjacency pattern",
-        f"{g.order} {g.order} {g.edge_count}",
-    ]
-    for u, v in g.edges():
-        lines.append(f"{v + 1} {u + 1}")
-    return "\n".join(lines) + "\n"
+    return (
+        "%%MatrixMarket matrix coordinate pattern symmetric\n"
+        "% undirected simple graph adjacency pattern\n"
+        f"{g.order} {g.order} {g.edge_count}\n"
+    ) + _edge_lines(g, 1, larger_first=True)
+
+
+# the line boundaries of str.splitlines
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _lines(text: str):
+    """Yield (line, end) for each line of `text`, split as `str.splitlines`
+    splits; `end` is where the next line starts."""
+    pos = 0
+    while pos < len(text):
+        m = _LINE_BREAK.search(text, pos)
+        if m is None:
+            yield text[pos:], len(text)
+            return
+        yield text[pos : m.start()], m.end()
+        pos = m.end()
+
+
+def _digit_pairs(block: str) -> np.ndarray | None:
+    """The (k, 2) int64 array of the entries of `block`, if every line is
+    blank or two runs of ASCII digits separated by spaces or tabs; else None.
+
+    Such a block parses in one `np.fromstring` call, to the values `int`
+    gives each token (leading zeros included).
+    """
+    if not block.isascii():
+        return None
+    b = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    digit = (b >= 48) & (b <= 57)
+    newline = (b == 10) | (b == 13)
+    if not (digit | newline | (b == 32) | (b == 9)).all():
+        return None
+    token = digit.copy()
+    token[1:] &= ~digit[:-1]
+    # token starts and line breaks in text order; a line holds 0 or 2 tokens
+    is_token = token[token | newline]
+    breaks = np.flatnonzero(~is_token)
+    per_line = np.diff(breaks, prepend=-1, append=is_token.size) - 1
+    if not ((per_line == 0) | (per_line == 2)).all():
+        return None
+    values = np.fromstring(block, dtype=np.int64, sep=" ")
+    # fromstring reads a blank block as [0], and saturates on overflow
+    if values.size != is_token.sum() or (values.size and values.max() == _INT64_MAX):
+        return None
+    return values.reshape(-1, 2)
+
+
+def _parse_entries(block: str, comment: str, malformed: str):
+    """Parse the entry lines of `block`: those neither blank nor, stripped,
+    starting with `comment`.
+
+    Returns (pairs, count, fault, comments). `count` is the number of entry
+    lines. `pairs` is an int64 array (object dtype if a value overflows it)
+    of the pairs of the leading entry lines, up to the first that does not
+    hold two `int` tokens; `fault` is the ValueError that line raises, or
+    None. `comments` lists the stripped comment lines.
+    """
+    pairs = _digit_pairs(block)
+    if pairs is not None:
+        return pairs, len(pairs), None, []
+    rows: list[tuple[int, int]] = []
+    count, fault, comments = 0, None, []
+    for ln in block.splitlines():
+        stripped = ln.strip()
+        if not stripped:
+            continue
+        if stripped.startswith(comment):
+            comments.append(stripped)
+            continue
+        count += 1
+        if fault is None:
+            parts = stripped.split()
+            try:
+                if len(parts) != 2:
+                    raise ValueError(f"{malformed}: {ln!r}")
+                rows.append((int(parts[0]), int(parts[1])))
+            except ValueError as exc:
+                fault = exc
+    try:
+        pairs = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        pairs = np.array(rows, dtype=object)
+    return pairs.reshape(-1, 2), count, fault, comments
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True of `mask`, or its length if there is none."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
+
+def _set_entries(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> int:
+    """Set a[i, j] = 1 in the all-zero matrix `a`; return the index of the
+    first (i, j) pair equal to an earlier one, or the number of pairs."""
+    a[i, j] = 1
+    if np.count_nonzero(a) == len(i):  # all distinct, the usual case: no sort
+        return len(i)
+    _, first_seen = np.unique(i * len(a) + j, return_index=True)
+    repeat = np.ones(len(i), dtype=bool)
+    repeat[first_seen] = False
+    return _first(repeat)
 
 
 def read_matrix_market(text: str) -> Graph:
@@ -137,12 +256,13 @@ def read_matrix_market(text: str) -> Graph:
     Rejects non-pattern/non-symmetric banners, diagonal entries (self-loops),
     upper-triangle entries, duplicates, and entry-count mismatches.
     """
-    lines = text.splitlines()
-    if not lines:
+    lines = _lines(text)
+    first_line = next(lines, None)
+    if first_line is None:
         raise ValueError("empty Matrix Market input")
-    banner = lines[0].split()
+    banner = first_line[0].split()
     if len(banner) != 5 or banner[0] != "%%MatrixMarket":
-        raise ValueError(f"malformed Matrix Market banner: {lines[0]!r}")
+        raise ValueError(f"malformed Matrix Market banner: {first_line[0]!r}")
     obj, fmt, field, symmetry = (t.lower() for t in banner[1:])
     if (obj, fmt) != ("matrix", "coordinate"):
         raise ValueError(f"unsupported Matrix Market type {obj} {fmt}")
@@ -151,41 +271,50 @@ def read_matrix_market(text: str) -> Graph:
     if symmetry != "symmetric":
         raise ValueError(f"expected a symmetric matrix, got symmetry {symmetry!r}")
 
-    rows = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
-    if not rows:
+    for ln, end in lines:
+        if ln.strip() and not ln.lstrip().startswith("%"):
+            break
+    else:
         raise ValueError("missing Matrix Market size line")
-    size = rows[0].split()
+    size = ln.split()
     if len(size) != 3:
-        raise ValueError(f"malformed size line: {rows[0]!r}")
+        raise ValueError(f"malformed size line: {ln!r}")
     nrows, ncols, nnz = (int(t) for t in size)
     if nrows != ncols:
         raise ValueError(f"adjacency matrix must be square, got {nrows}x{ncols}")
     if nrows < 1 or nnz < 0:
-        raise ValueError(f"malformed size line: {rows[0]!r}")
-    entries = rows[1:]
-    if len(entries) != nnz:
-        raise ValueError(f"expected {nnz} entries, found {len(entries)}")
+        raise ValueError(f"malformed size line: {ln!r}")
+    block = text[end:]
+    pairs, count, fault, _ = _parse_entries(block, "%", "malformed coordinate line")
+    if count != nnz:
+        raise ValueError(f"expected {nnz} entries, found {count}")
 
     check_order(nrows)
     a = np.zeros((nrows, nrows), dtype=np.uint8)
-    for ln in entries:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed coordinate line: {ln!r}")
-        i, j = int(parts[0]) - 1, int(parts[1]) - 1
-        if not (0 <= i < nrows and 0 <= j < nrows):
-            raise ValueError(f"coordinate out of range: {ln!r}")
-        if i == j:
-            raise ValueError(f"self-loop entry at vertex {i + 1} is not allowed")
-        if i < j:
+    # the first faulty entry line wins; within a line: range, diagonal, triangle
+    out_of_range = ((pairs < 1) | (pairs > nrows)).any(axis=1)
+    valid = pairs[: _first(out_of_range | (pairs[:, 0] <= pairs[:, 1]))]
+    i, j = (valid.astype(np.int64) - 1).T
+    bad = _set_entries(a, i, j)
+    if bad < len(pairs):
+        r, c = (int(x) for x in pairs[bad])
+        if out_of_range[bad]:
+            entries = [
+                e for e in block.splitlines()
+                if e.strip() and not e.lstrip().startswith("%")
+            ]
+            raise ValueError(f"coordinate out of range: {entries[bad]!r}")
+        if r == c:
+            raise ValueError(f"self-loop entry at vertex {r} is not allowed")
+        if r < c:
             raise ValueError(
-                f"entry ({i + 1}, {j + 1}) lies above the diagonal; symmetric "
+                f"entry ({r}, {c}) lies above the diagonal; symmetric "
                 "storage keeps the lower triangle"
             )
-        if a[i, j]:
-            raise ValueError(f"duplicate entry ({i + 1}, {j + 1})")
-        a[i, j] = 1
-        a[j, i] = 1
+        raise ValueError(f"duplicate entry ({r}, {c})")
+    if fault is not None:
+        raise fault
+    a[j, i] = 1
     return Graph(a)
 
 
@@ -194,12 +323,10 @@ _ORDER_DIRECTIVE = re.compile(r"^#\s*order\s+(\d+)\s*$")
 
 def write_edge_list(g: Graph) -> str:
     """Plain-text edge list: one "u v" pair per line, 0-based, u < v."""
-    lines = [
-        "# undirected simple graph, 0-based vertex indices",
-        f"# order {g.order}",
-    ]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return (
+        "# undirected simple graph, 0-based vertex indices\n"
+        f"# order {g.order}\n"
+    ) + _edge_lines(g, 0, larger_first=False)
 
 
 def read_edge_list(text: str) -> Graph:
@@ -209,45 +336,52 @@ def read_edge_list(text: str) -> Graph:
     graphs with trailing isolated vertices); without it the order is inferred
     as max index + 1. Self-loops, reversed pairs, and duplicates are rejected.
     """
-    order = None
-    pairs: list[tuple[int, int]] = []
-    for ln in text.splitlines():
+    # leading comments go line by line, so the entries can take the fast path
+    comments, end = [], 0
+    for ln, next_start in _lines(text):
         stripped = ln.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            m = _ORDER_DIRECTIVE.match(stripped)
-            if m:
-                order = int(m.group(1))
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line: {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        if stripped and not stripped.startswith("#"):
+            break
+        comments.append(stripped)
+        end = next_start
+    pairs, _, fault, more = _parse_entries(text[end:], "#", "malformed edge line")
+    order = None
+    for stripped in comments + more:
+        m = _ORDER_DIRECTIVE.match(stripped)
+        if m:
+            order = int(m.group(1))
+
+    # line faults come first, in line order: negative, self-loop, reversed
+    u, v = pairs[:, 0], pairs[:, 1]
+    bad = _first((u < 0) | (v < 0) | (u >= v))
+    if bad < len(pairs):
+        u, v = (int(x) for x in pairs[bad])
         if u < 0 or v < 0:
             raise ValueError(f"negative vertex index in edge ({u}, {v})")
         if u == v:
             raise ValueError(f"self-loop at vertex {u} is not allowed")
-        if u > v:
-            raise ValueError(f"edge ({u}, {v}) must be written with u < v")
-        pairs.append((u, v))
+        raise ValueError(f"edge ({u}, {v}) must be written with u < v")
+    if fault is not None:
+        raise fault
 
     if order is None:
-        if not pairs:
+        if not len(pairs):
             raise ValueError("cannot infer order of an edgeless graph; add '# order N'")
-        order = max(v for _, v in pairs) + 1
+        order = int(v.max()) + 1
     if order < 1:
         raise ValueError("graph order must be >= 1")
     check_order(order)
 
     a = np.zeros((order, order), dtype=np.uint8)
-    for u, v in pairs:
+    valid = pairs[: _first(v >= order)].astype(np.int64)
+    u, v = valid.T
+    bad = _set_entries(a, u, v)
+    if bad < len(pairs):
+        u, v = (int(x) for x in pairs[bad])
         if v >= order:
             raise ValueError(f"edge ({u}, {v}) out of range for order {order}")
-        if a[u, v]:
-            raise ValueError(f"duplicate edge ({u}, {v})")
-        a[u, v] = 1
-        a[v, u] = 1
+        raise ValueError(f"duplicate edge ({u}, {v})")
+    a[v, u] = 1
     return Graph(a)
 
 

@@ -62,8 +62,7 @@ def criterion(number, title):
     return decorate
 
 
-@pytest.fixture(scope="module")
-def bases():
+def _bases():
     return {
         "K3": complete_graph(3),
         "C4": cycle_graph(4),
@@ -72,6 +71,11 @@ def bases():
         "P4": path_graph(4),
         "R8": random_graph(8, 0.5, seed=918273645),
     }
+
+
+@pytest.fixture(scope="module")
+def bases():
+    return _bases()
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from graphenergy import (
@@ -12,6 +13,7 @@ from graphenergy import (
     read_graph_text,
     star_graph,
 )
+from graphenergy import families
 from graphenergy.cli import main
 
 
@@ -249,6 +251,24 @@ class TestSweep:
         )
         assert code == 0
         assert sorted(r["verdict"] for r in payload) == ["pass", "pass", "pass", "skipped"]
+
+    @pytest.mark.parametrize("exc", [
+        np.linalg.LinAlgError("Eigenvalues did not converge"),
+        RuntimeError("solver crashed"),
+    ], ids=["LinAlgError", "RuntimeError"])
+    def test_error_point_fails_the_run(self, capsys, monkeypatch, exc):
+        real = families.adjacency_spectrum
+
+        def solve(g, *args, **kwargs):
+            if g.order == 21:  # C6_1 k=3
+                raise exc
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(families, "adjacency_spectrum", solve)
+        code, payload = run_json(capsys, ["sweep", "C6_1", "k=1..3", "--method", "oracle"])
+        assert code == 1
+        assert [r["verdict"] for r in payload] == ["pass", "pass", "error"]
+        assert payload[2]["error"] == f"{type(exc).__name__}: {exc}"
 
     def test_jobs_flag(self, capsys):
         code, payload = run_json(

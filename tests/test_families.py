@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from graphenergy import (
@@ -19,8 +20,9 @@ from graphenergy import (
     verify_borderenergetic,
     verify_equienergetic,
 )
-from graphenergy import jsonio
+from graphenergy import families, jsonio
 from graphenergy.families import FAMILIES, get_family
+from graphenergy.graphs import MAX_ORDER_ENV_VAR
 
 
 def spec(corollary_id, base=None, base_pair=None, **params):
@@ -347,6 +349,45 @@ class TestSweep:
         reports = sweep("C5_6", {})
         assert len(reports) == 1
         assert reports[0].passed
+
+    def test_points_over_the_order_cap_are_skipped(self, monkeypatch):
+        monkeypatch.setenv(MAX_ORDER_ENV_VAR, "60")  # C6_1 members: 9, 51 | 15, 81
+        reports = sweep("C6_1", {"k": [1, 2]}, method="oracle", jobs=1)
+        assert [r.verdict for r in reports] == ["pass", "skipped"]
+        assert "dense cap" in reports[1].error
+
+
+def failing_eigensolver(monkeypatch, order, exc):
+    """Make the oracle route raise `exc` on graphs of the given order."""
+    real = families.adjacency_spectrum
+
+    def solve(g, *args, **kwargs):
+        if g.order == order:
+            raise exc
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(families, "adjacency_spectrum", solve)
+
+
+class TestSweepErrors:
+    """A failure that is neither out of domain nor over the cap is an error,
+    never a quiet skip; `LinAlgError` is a `ValueError`, so it must not be
+    mistaken for one."""
+
+    @pytest.mark.parametrize("exc", [
+        np.linalg.LinAlgError("Eigenvalues did not converge"),
+        RuntimeError("solver crashed"),
+    ], ids=["LinAlgError", "RuntimeError"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_point_is_an_error(self, monkeypatch, exc, jobs):
+        failing_eigensolver(monkeypatch, 21, exc)  # C6_1 k=3 builds order 21
+        reports = sweep("C6_1", {"k": [1, 2, 3, 4]}, method="oracle", jobs=jobs)
+        assert [r.verdict for r in reports] == ["pass", "pass", "error", "pass"]
+        error = reports[2]
+        assert error.error == f"{type(exc).__name__}: {exc}"
+        assert error.members == [] and error.tolerance is None
+        assert not error.passed
+        assert "ERROR" in error.to_table()
 
 
 class TestReportSerialization:

@@ -15,7 +15,7 @@ from graphenergy import (
     random_graph,
     star_graph,
 )
-from graphenergy.graphs import MAX_ORDER_ENV_VAR, check_order, max_order
+from graphenergy.graphs import MAX_ORDER_ENV_VAR, OrderCapError, check_order, max_order
 
 from conftest import random_graphs
 
@@ -146,8 +146,9 @@ class TestGraphValidation:
     def test_dense_cap_env_override(self, monkeypatch):
         monkeypatch.setenv(MAX_ORDER_ENV_VAR, "50")
         assert max_order() == 50
-        with pytest.raises(ValueError, match="dense cap"):
+        with pytest.raises(OrderCapError, match="dense cap"):
             check_order(51)
+        assert issubclass(OrderCapError, ValueError)
         with pytest.raises(ValueError):
             empty_graph(51)
 
