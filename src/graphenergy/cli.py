@@ -9,12 +9,13 @@ verification in the invocation passed, 1 when one failed, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import families, formulas, jsonio
+from . import families, jsonio
 from .graphs import (
     Graph,
     complete_bipartite,
@@ -25,13 +26,8 @@ from .graphs import (
     path_graph,
 )
 from .io import FORMATS, read_graph_text, write_graph_text
-from .operators import (
-    generalized_splitting,
-    kronecker_product,
-    m_shadow,
-    m_splitting,
-    shadow_splitting,
-)
+from .operators import OPERATORS, Operator, kronecker_product
+from .operators import generalized_splitting  # noqa: F401  (bench/layers.py rebinds it here)
 from .spectral import (
     Spectrum,
     adjacency_spectrum,
@@ -65,13 +61,16 @@ def _write_graph(g: Graph, path: str | None, fmt: str | None) -> None:
         print(f"wrote {path} (order {g.order}, {g.edge_count} edges)", file=sys.stderr)
 
 
-def _write_json(payload, path: str | None) -> None:
-    text = jsonio.dumps(payload)
+def _write_text(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
         print(f"wrote {path}", file=sys.stderr)
+
+
+def _write_json(payload, path: str | None) -> None:
+    _write_text(jsonio.dumps(payload), path)
 
 
 _GENERATORS = {
@@ -94,60 +93,22 @@ def _parse_member_spec(spec: str) -> Graph:
     return fn(*(int(a) for a in args))
 
 
-def _parse_operator(spec: str) -> tuple[str, list[int]]:
+def _operator_spec(spec: str) -> tuple[Operator | None, list[int]]:
+    """An operator spec like split:2,1, as (table entry, arguments).
+
+    `kron`, the product with the graph given by --with, is no table entry
+    and comes back as None.
+    """
     name, _, argtext = spec.partition(":")
     args = [int(a) for a in argtext.split(",")] if argtext else []
-    arities = {"split": 2, "shadow-split": 2, "shadow": 1, "splitting": 1, "kron": 0}
+    arities = {op.name: len(op.params) for op in OPERATORS.values() if op.cli} | {"kron": 0}
     if name not in arities:
         raise ValueError(f"unknown operator {name!r} (expected one of {sorted(arities)})")
     if len(args) != arities[name]:
         raise ValueError(
             f"operator {name} takes {arities[name]} parameter(s), got {spec!r}"
         )
-    return name, args
-
-
-def _apply_operator(name: str, args: list[int], g: Graph, other: Graph | None) -> Graph:
-    if name == "split":
-        return generalized_splitting(g, *args)
-    if name == "shadow-split":
-        return shadow_splitting(g, *args)
-    if name == "shadow":
-        return m_shadow(g, *args)
-    if name == "splitting":
-        return m_splitting(g, *args)
-    if name == "kron":
-        if other is None:
-            raise ValueError("kron needs a second graph (--with FILE)")
-        return kronecker_product(g, other)
-    raise ValueError(f"unknown operator {name!r}")
-
-
-def _operator_factor(name: str, args: list[int]) -> float:
-    """Closed-form energy multiplier of an operator, where one exists."""
-    if name == "split":
-        return formulas.split_energy_factor(*args)
-    if name == "shadow-split":
-        return formulas.shadow_split_energy_factor(*args)
-    if name == "shadow":
-        return formulas.known_energy("shadow", *args)
-    if name == "splitting":
-        return formulas.split_energy_factor(1, args[0])
-    raise ValueError(f"no closed-form energy factor for operator {name!r}")
-
-
-def _operator_spectrum_values(name: str, args: list[int]) -> np.ndarray:
-    """Closed-form coefficient spectrum of an operator, where one exists."""
-    if name == "split":
-        return formulas.split_coefficient_spectrum(*args).values
-    if name == "shadow-split":
-        return formulas.shadow_coefficient_spectrum(*args).values
-    if name == "splitting":
-        return formulas.split_coefficient_spectrum(1, args[0]).values
-    if name == "shadow":
-        m = args[0]
-        return np.array([float(m)] + [0.0] * (m - 1))
-    raise ValueError(f"no closed-form coefficient spectrum for operator {name!r}")
+    return OPERATORS.get(name), args
 
 
 def _parse_bindings(pairs: list[str]) -> dict[str, int]:
@@ -199,39 +160,43 @@ def cmd_gen(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    name, op_args = _parse_operator(args.operator)
+    op, op_args = _operator_spec(args.operator)
     g = _read_graph(args.input, args.input_format)
     other = _read_graph(args.with_graph, args.input_format) if args.with_graph else None
-    result = _apply_operator(name, op_args, g, other)
+    if op is not None:
+        result = op.build(g, *op_args)
+    elif other is None:
+        raise ValueError("kron needs a second graph (--with FILE)")
+    else:
+        result = kronecker_product(g, other)
     _write_graph(result, args.output, args.format)
     return 0
 
 
-def _resolve_applied(args, g: Graph) -> tuple[Graph, str | None, str | None, list[int]]:
-    """Apply --apply to the input graph; returns (graph, label, op name, op args)."""
+def _resolve_applied(args, g: Graph) -> tuple[Graph, Operator | None, list[int]]:
+    """Apply --apply to the input graph; returns (graph, operator, op args)."""
     if not args.apply:
-        return g, None, None, []
-    name, op_args = _parse_operator(args.apply)
-    if name == "kron":
+        return g, None, []
+    op, op_args = _operator_spec(args.apply)
+    if op is None:
         raise ValueError("--apply does not support kron; use the construct command")
-    return _apply_operator(name, op_args, g, None), args.apply, name, op_args
+    return op.build(g, *op_args), op, op_args
 
 
 def cmd_energy(args) -> int:
     base = _read_graph(args.input, args.input_format)
-    g, applied, op_name, op_args = _resolve_applied(args, base)
+    g, op, op_args = _resolve_applied(args, base)
     tol = args.tol if args.tol is not None else verification_tolerance(g.order)
 
     formula_energy = oracle_energy = delta = None
     within = None
     if args.method in ("formula", "both"):
-        if applied is None:
+        if op is None:
             raise ValueError(
                 "the formula route needs --apply OPERATOR; a bare graph file has "
                 "no closed-form energy"
             )
-        factor = _operator_factor(op_name, op_args)
-        formula_energy = factor * adjacency_spectrum(base).energy()
+        formula_energy = op.factor(*op_args) * adjacency_spectrum(base).energy()
     if args.method in ("oracle", "both"):
         oracle_energy = adjacency_spectrum(g).energy()
     if formula_energy is not None and oracle_energy is not None:
@@ -241,7 +206,7 @@ def cmd_energy(args) -> int:
     report = {
         "command": "energy",
         "input": args.input,
-        "applied": applied,
+        "applied": args.apply,
         "order": g.order,
         "edge_count": g.edge_count,
         "method": args.method,
@@ -265,7 +230,7 @@ def _spectrum_dict(values: np.ndarray, merge_tolerance: float) -> dict:
 
 def cmd_spectrum(args) -> int:
     base = _read_graph(args.input, args.input_format)
-    g, applied, op_name, op_args = _resolve_applied(args, base)
+    g, op, op_args = _resolve_applied(args, base)
     tol = args.tol if args.tol is not None else verification_tolerance(g.order)
 
     oracle = formula = max_delta = None
@@ -275,13 +240,13 @@ def cmd_spectrum(args) -> int:
         oracle_values = adjacency_spectrum(g).values
         oracle = _spectrum_dict(oracle_values, tol)
     if args.method in ("formula", "both"):
-        if applied is None:
+        if op is None:
             raise ValueError(
                 "the formula route needs --apply OPERATOR; a bare graph file has "
                 "no closed-form spectrum"
             )
-        coeff = _operator_spectrum_values(op_name, op_args)
-        structured = structured_spectrum(coeff, adjacency_spectrum(base))
+        structured = structured_spectrum(op.coefficient_spectrum(*op_args),
+                                         adjacency_spectrum(base))
         formula = _spectrum_dict(structured.values, tol)
         if oracle_values is not None:
             max_delta = float(np.max(np.abs(structured.values - oracle_values)))
@@ -290,7 +255,7 @@ def cmd_spectrum(args) -> int:
     report = {
         "command": "spectrum",
         "input": args.input,
-        "applied": applied,
+        "applied": args.apply,
         "order": g.order,
         "method": args.method,
         "oracle": oracle,
@@ -310,6 +275,9 @@ def _base_arguments(args) -> dict:
             _read_graph(args.base, args.input_format),
             _read_graph(args.base2, args.input_format),
         )
+        pair_ids = [f.family_id for f in families.FAMILIES.values() if f.base == families.PAIR]
+        if args.family_id not in pair_ids:
+            raise ValueError(f"only {', '.join(pair_ids)} takes a base pair (--base plus --base2)")
     elif args.base2:
         raise ValueError("--base2 needs --base as well")
     elif args.base:
@@ -317,23 +285,9 @@ def _base_arguments(args) -> dict:
     return kwargs
 
 
-def _write_text(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-        print(f"wrote {path}", file=sys.stderr)
-
-
 def cmd_verify(args) -> int:
     params = _parse_bindings(args.params)
-    kwargs = _base_arguments(args)
-    if "base_pair" in kwargs and args.family_id != "C5_1":
-        raise ValueError("only C5_1 takes a base pair (--base plus --base2)")
-    if "base_pair" in kwargs:
-        spec = families.FamilySpec(args.family_id, params, base_pair=kwargs["base_pair"])
-    else:
-        spec = families.FamilySpec(args.family_id, params, base=kwargs.get("base"))
+    spec = families.FamilySpec(args.family_id, params, **_base_arguments(args))
     report = families.verify(spec, method=args.method, tolerance=args.tol)
     if args.table:
         _write_text(report.to_table(), args.output)
@@ -344,16 +298,8 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     ranges = _parse_ranges(args.ranges)
-    kwargs = _base_arguments(args)
-    reports = families.sweep(
-        args.family_id,
-        ranges,
-        method=args.method,
-        base=kwargs.get("base"),
-        base_pair=kwargs.get("base_pair"),
-        tolerance=args.tol,
-        jobs=args.jobs,
-    )
+    reports = families.sweep(args.family_id, ranges, method=args.method, tolerance=args.tol,
+                             jobs=args.jobs, **_base_arguments(args))
     if args.table:
         _write_text("\n".join(r.to_table() for r in reports), args.output)
     else:
@@ -369,7 +315,9 @@ def cmd_convert(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="graphenergy",
         description="Graph energy toolkit: generators, splitting/shadow operators, "

@@ -17,34 +17,26 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .formulas import (
-    EnergyPrediction,
-    known_energy,
-    shadow_split_energy_factor,
-    split_energy_factor,
-)
+from .formulas import known_energy
 from .graphs import (
     Graph,
     OrderCapError,
     check_order,
-    complete_bipartite,
     complete_graph,
     cycle_graph,
     disjoint_union,
     star_graph,
 )
-from .operators import (
-    generalized_splitting,
-    kronecker_product,
-    m_shadow,
-    shadow_splitting,
-)
+from .operators import OPERATORS, Operator
 from .spectral import adjacency_spectrum, verification_tolerance
 
 EQUIENERGETIC = "equienergetic"
 BORDERENERGETIC = "borderenergetic"
 
 METHODS = ("formula", "oracle", "both")
+
+# which base graphs a family takes from the caller
+PAIR, SINGLE, NONE = "pair", "single", "none"
 
 
 class OutOfDomainError(ValueError):
@@ -79,14 +71,28 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class MemberPlan:
-    """One family member: how to build it and what energy to expect."""
+    """One family member: an operator with its arguments, applied to a base
+    graph. A plan over the dense-order cap raises OrderCapError."""
 
-    description: str
-    order: int
+    operator: Operator
+    args: tuple[int, ...]
     base: Graph
-    prediction: EnergyPrediction
-    build: Callable[[], Graph]
+    base_label: str = "base"
     base_energy_closed: float | None = None
+
+    def __post_init__(self):
+        check_order(self.order, self.operator.label_for(self.args))
+
+    @property
+    def order(self) -> int:
+        return self.operator.dimension(*self.args) * self.base.order
+
+    @property
+    def description(self) -> str:
+        return self.operator.describe(self.args, self.base_label)
+
+    def build(self) -> Graph:
+        return self.operator.build(self.base, *self.args)
 
 
 @dataclass
@@ -211,8 +217,9 @@ class Family:
     family_id: str
     kind: str
     param_names: tuple[str, ...]
+    base: str  # PAIR, SINGLE or NONE
     summary: str
-    plan: Callable[[FamilySpec], list[MemberPlan]]
+    plan: Callable[..., list[MemberPlan]]  # (*base graphs, **parameters)
 
 
 def _require_params(spec: FamilySpec, names: tuple[str, ...]) -> dict[str, int]:
@@ -243,108 +250,41 @@ def _domain(condition: bool, message: str) -> None:
         raise OutOfDomainError(message)
 
 
-def _base_graph(spec: FamilySpec) -> Graph:
-    if spec.base_pair is not None:
-        raise ValueError(f"{spec.corollary_id} takes a single base graph, not a pair")
-    return spec.base if spec.base is not None else default_base()
+def _bases(family: Family, base: Graph | None,
+           base_pair: tuple[Graph, Graph] | None) -> tuple[Graph, ...]:
+    """The base graphs `family.plan` takes: the caller's, else the defaults.
+
+    Raises ValueError when the caller gives a kind of base the family does
+    not take.
+    """
+    name = family.family_id
+    if family.base == PAIR:
+        if base is not None:
+            raise ValueError(f"{name} takes a base pair, not a single base graph")
+        return base_pair if base_pair is not None else canonical_equienergetic_pair()
+    if family.base == SINGLE:
+        if base_pair is not None:
+            raise ValueError(f"{name} takes a single base graph, not a pair")
+        return (base if base is not None else default_base(),)
+    if base is not None or base_pair is not None:
+        raise ValueError(f"{name} constructs its own base graphs")
+    return ()
 
 
-def _no_base(spec: FamilySpec) -> None:
-    if spec.base is not None or spec.base_pair is not None:
-        raise ValueError(f"{spec.corollary_id} constructs its own base graphs")
+def _member(operator: str, base: Graph, *args: int, base_label: str = "base",
+            base_energy_closed: float | None = None) -> MemberPlan:
+    return MemberPlan(OPERATORS[operator], args, base, base_label, base_energy_closed)
 
 
-def _split_member(base: Graph, p: int, q: int, base_label: str = "base",
-                  base_energy_closed: float | None = None) -> MemberPlan:
-    order = (p + q) * base.order
-    check_order(order, f"splitting(p={p},q={q})")
-    return MemberPlan(
-        description=f"splitting(p={p},q={q}) of {base_label}",
-        order=order,
-        base=base,
-        prediction=EnergyPrediction(split_energy_factor(p, q), "splitting", {"p": p, "q": q}),
-        build=lambda: generalized_splitting(base, p, q),
-        base_energy_closed=base_energy_closed,
-    )
-
-
-def _shadow_split_member(base: Graph, c: int, k: int, base_label: str = "base",
-                         base_energy_closed: float | None = None) -> MemberPlan:
-    order = (c + k) * base.order
-    check_order(order, f"shadow-splitting(c={c},k={k})")
-    return MemberPlan(
-        description=f"shadow-splitting(c={c},k={k}) of {base_label}",
-        order=order,
-        base=base,
-        prediction=EnergyPrediction(
-            shadow_split_energy_factor(c, k), "shadow-splitting", {"c": c, "k": k}
-        ),
-        build=lambda: shadow_splitting(base, c, k),
-        base_energy_closed=base_energy_closed,
-    )
-
-
-def _shadow_member(base: Graph, m: int) -> MemberPlan:
-    order = m * base.order
-    check_order(order, f"shadow(m={m})")
-    return MemberPlan(
-        description=f"shadow(m={m}) of base",
-        order=order,
-        base=base,
-        prediction=EnergyPrediction(known_energy("shadow", m), "shadow", {"m": m}),
-        build=lambda: m_shadow(base, m),
-    )
-
-
-def _kron_complete_member(base: Graph, r: int) -> MemberPlan:
-    order = base.order * r
-    check_order(order, f"kron with complete({r})")
-    return MemberPlan(
-        description=f"kron of base with complete({r})",
-        order=order,
-        base=base,
-        prediction=EnergyPrediction(known_energy("complete", r), "kron-complete", {"n": r}),
-        build=lambda: kronecker_product(base, complete_graph(r)),
-    )
-
-
-def _kron_bipartite_member(base: Graph, r: int, base_first: bool) -> MemberPlan:
-    order = base.order * 2 * r
-    check_order(order, f"kron with complete-bipartite({r},{r})")
-    if base_first:
-        description = f"kron of base with complete-bipartite({r},{r})"
-        build = lambda: kronecker_product(base, complete_bipartite(r, r))
-    else:
-        description = f"kron of complete-bipartite({r},{r}) with base"
-        build = lambda: kronecker_product(complete_bipartite(r, r), base)
-    return MemberPlan(
-        description=description,
-        order=order,
-        base=base,
-        prediction=EnergyPrediction(
-            known_energy("complete-bipartite", r, r), "kron-complete-bipartite", {"m": r, "n": r}
-        ),
-        build=build,
-    )
-
-
-def _plan_c5_1(spec: FamilySpec) -> list[MemberPlan]:
-    params = _require_params(spec, ("p", "q"))
-    if spec.base is not None:
-        raise ValueError("C5_1 takes a base pair, not a single base graph")
-    pair = spec.base_pair if spec.base_pair is not None else canonical_equienergetic_pair()
-    g1, g2 = pair
+def _plan_c5_1(g1: Graph, g2: Graph, p: int, q: int) -> list[MemberPlan]:
     _domain(g1.order == g2.order, "the base pair must share one order")
-    p, q = params["p"], params["q"]
     return [
-        _split_member(g1, p, q, base_label="first base"),
-        _split_member(g2, p, q, base_label="second base"),
+        _member("split", g1, p, q, base_label="first base"),
+        _member("split", g2, p, q, base_label="second base"),
     ]
 
 
-def _plan_c5_2(spec: FamilySpec) -> list[MemberPlan]:
-    params = _require_params(spec, ("t", "m", "k"))
-    t, m, k = params["t"], params["m"], params["k"]
+def _plan_c5_2(base: Graph, t: int, m: int, k: int) -> list[MemberPlan]:
     _domain(t >= 1 and m >= 1, f"C5_2 needs t,m >= 1, got t={t}, m={m}")
     _domain(k in (1, -1), f"C5_2 needs k in {{1, -1}}, got k={k}")
     p1 = (5 * t - 2) ** 2 * m + k * (5 * t - 2)
@@ -355,157 +295,118 @@ def _plan_c5_2(spec: FamilySpec) -> list[MemberPlan]:
         min(p1, q1, p2, q2) >= 1,
         f"C5_2 derived parameters must be >= 1, got p1={p1}, q1={q1}, p2={p2}, q2={q2}",
     )
-    base = _base_graph(spec)
-    return [_split_member(base, p1, q1), _split_member(base, p2, q2)]
+    return [_member("split", base, p1, q1), _member("split", base, p2, q2)]
 
 
-def _plan_c5_3(spec: FamilySpec) -> list[MemberPlan]:
-    params = _require_params(spec, ("m", "t"))
-    m, t = params["m"], params["t"]
+def _plan_c5_3(base: Graph, m: int, t: int) -> list[MemberPlan]:
     _domain(m > t >= 1, f"C5_3 needs m > t >= 1, got m={m}, t={t}")
-    base = _base_graph(spec)
     return [
-        _shadow_split_member(base, m + t, 2 * m - t),
-        _shadow_split_member(base, 3 * m - t, t),
+        _member("shadow-split", base, m + t, 2 * m - t),
+        _member("shadow-split", base, 3 * m - t, t),
     ]
 
 
-def _plan_c5_4(spec: FamilySpec) -> list[MemberPlan]:
-    params = _require_params(spec, ("p", "q"))
-    p, q = params["p"], params["q"]
+def _plan_c5_4(base: Graph, p: int, q: int) -> list[MemberPlan]:
     _domain(p >= 1 and q >= 1, f"C5_4 needs p,q >= 1, got p={p}, q={q}")
-    base = _base_graph(spec)
-    return [_split_member(base, p, q), _shadow_member(base, p + q)]
+    return [_member("split", base, p, q), _member("shadow", base, p + q)]
 
 
-def _plan_c5_5(spec: FamilySpec) -> list[MemberPlan]:
-    params = _require_params(spec, ("c", "k"))
-    c, k = params["c"], params["k"]
+def _plan_c5_5(base: Graph, c: int, k: int) -> list[MemberPlan]:
     _domain(c >= 1 and k >= 1, f"C5_5 needs c,k >= 1, got c={c}, k={k}")
-    base = _base_graph(spec)
-    return [_shadow_split_member(base, c, k), _shadow_member(base, c + k)]
+    return [_member("shadow-split", base, c, k), _member("shadow", base, c + k)]
 
 
-def _plan_c5_6(spec: FamilySpec) -> list[MemberPlan]:
-    _require_params(spec, ())
-    base = _base_graph(spec)
-    return [_split_member(base, 2, 1), _kron_complete_member(base, 3)]
+def _plan_c5_6(base: Graph) -> list[MemberPlan]:
+    return [_member("split", base, 2, 1), _member("kron-complete", base, 3)]
 
 
-def _plan_c5_7(spec: FamilySpec) -> list[MemberPlan]:
-    params = _require_params(spec, ("m",))
-    m = params["m"]
+def _plan_c5_7(base: Graph, m: int) -> list[MemberPlan]:
     _domain(m >= 1, f"C5_7 needs m >= 1, got m={m}")
-    base = _base_graph(spec)
     return [
-        _split_member(base, 2 * m, 8 * m - 2),
-        _kron_bipartite_member(base, 5 * m - 1, base_first=True),
+        _member("split", base, 2 * m, 8 * m - 2),
+        _member("kron-complete-bipartite", base, 5 * m - 1),
     ]
 
 
-def _plan_c5_8(spec: FamilySpec) -> list[MemberPlan]:
-    params = _require_params(spec, ("m",))
-    m = params["m"]
+def _plan_c5_8(base: Graph, m: int) -> list[MemberPlan]:
     _domain(m >= 1, f"C5_8 needs m >= 1, got m={m}")
-    base = _base_graph(spec)
     return [
-        _split_member(base, 3 * m + 1, 12 * m + 2),
-        _shadow_split_member(base, 5 * m + 1, 10 * m + 2),
+        _member("split", base, 3 * m + 1, 12 * m + 2),
+        _member("shadow-split", base, 5 * m + 1, 10 * m + 2),
     ]
 
 
-def _plan_c5_9(spec: FamilySpec) -> list[MemberPlan]:
-    params = _require_params(spec, ("t",))
-    t = params["t"]
+def _plan_c5_9(base: Graph, t: int) -> list[MemberPlan]:
     _domain(t >= 1, f"C5_9 needs t >= 1, got t={t}")
-    base = _base_graph(spec)
     return [
-        _shadow_split_member(base, 10 * t - 4, 20 * t - 8),
-        _shadow_member(base, 30 * t - 12),
-        _kron_bipartite_member(base, 15 * t - 6, base_first=False),
-        _split_member(base, 6 * t - 2, 24 * t - 10),
+        _member("shadow-split", base, 10 * t - 4, 20 * t - 8),
+        _member("shadow", base, 30 * t - 12),
+        _member("complete-bipartite-kron", base, 15 * t - 6),
+        _member("split", base, 6 * t - 2, 24 * t - 10),
     ]
 
 
-def _plan_c6_1(spec: FamilySpec) -> list[MemberPlan]:
-    params = _require_params(spec, ("k",))
-    _no_base(spec)
-    k = params["k"]
+def _plan_c6_1(k: int) -> list[MemberPlan]:
     _domain(k >= 1, f"C6_1 needs k >= 1, got k={k}")
     base = complete_graph(3)
     closed = known_energy("complete", 3)
     return [
-        _split_member(base, k + 1, k, base_label="complete(3)", base_energy_closed=closed),
-        _split_member(base, 9 * k + 6, k + 1, base_label="complete(3)", base_energy_closed=closed),
+        _member("split", base, k + 1, k, base_label="complete(3)", base_energy_closed=closed),
+        _member("split", base, 9 * k + 6, k + 1, base_label="complete(3)",
+                base_energy_closed=closed),
     ]
 
 
-def _plan_c6_2(spec: FamilySpec) -> list[MemberPlan]:
-    params = _require_params(spec, ("t",))
-    _no_base(spec)
-    t = params["t"]
+def _plan_c6_2(t: int) -> list[MemberPlan]:
     _domain(t >= 1, f"C6_2 needs t >= 1, got t={t}")
     r = 3 * t + 4
-    base = complete_graph(r)
     return [
-        _shadow_split_member(
-            base,
-            (t + 1) ** 2,
-            t * (2 * t + 1),
-            base_label=f"complete({r})",
-            base_energy_closed=known_energy("complete", r),
-        )
+        _member("shadow-split", complete_graph(r), (t + 1) ** 2, t * (2 * t + 1),
+                base_label=f"complete({r})", base_energy_closed=known_energy("complete", r))
     ]
 
 
-def _plan_c6_3(spec: FamilySpec) -> list[MemberPlan]:
-    params = _require_params(spec, ("t",))
-    _no_base(spec)
-    t = params["t"]
+def _plan_c6_3(t: int) -> list[MemberPlan]:
     _domain(t >= 1, f"C6_3 needs t >= 1, got t={t}")
     small, large = 3 * t + 4, 3 * t + 5
     base = disjoint_union([complete_graph(small)] * t + [complete_graph(large)])
     closed = t * known_energy("complete", small) + known_energy("complete", large)
     return [
-        _shadow_split_member(
-            base,
-            (t + 1) ** 2,
-            t * (2 * t + 1),
-            base_label=f"union({t}*complete({small}), complete({large}))",
-            base_energy_closed=closed,
-        )
+        _member("shadow-split", base, (t + 1) ** 2, t * (2 * t + 1),
+                base_label=f"union({t}*complete({small}), complete({large}))",
+                base_energy_closed=closed)
     ]
 
 
 FAMILIES: dict[str, Family] = {
     f.family_id: f
     for f in (
-        Family("C5_1", EQUIENERGETIC, ("p", "q"),
+        Family("C5_1", EQUIENERGETIC, ("p", "q"), PAIR,
                "same splitting operator applied to an equienergetic base pair", _plan_c5_1),
-        Family("C5_2", EQUIENERGETIC, ("t", "m", "k"),
+        Family("C5_2", EQUIENERGETIC, ("t", "m", "k"), SINGLE,
                "two splitting graphs with matched derived (p, q) parameters", _plan_c5_2),
-        Family("C5_3", EQUIENERGETIC, ("m", "t"),
+        Family("C5_3", EQUIENERGETIC, ("m", "t"), SINGLE,
                "two shadow-splitting graphs with complementary (c, k) parameters", _plan_c5_3),
-        Family("C5_4", EQUIENERGETIC, ("p", "q"),
+        Family("C5_4", EQUIENERGETIC, ("p", "q"), SINGLE,
                "splitting graph against the shadow graph of matching order "
                "(energies match exactly when q = 4p - 2)", _plan_c5_4),
-        Family("C5_5", EQUIENERGETIC, ("c", "k"),
+        Family("C5_5", EQUIENERGETIC, ("c", "k"), SINGLE,
                "shadow-splitting graph against the shadow graph of matching order "
                "(energies match exactly when k = 2c)", _plan_c5_5),
-        Family("C5_6", EQUIENERGETIC, (),
+        Family("C5_6", EQUIENERGETIC, (), SINGLE,
                "splitting(p=2,q=1) against the Kronecker product with complete(3)", _plan_c5_6),
-        Family("C5_7", EQUIENERGETIC, ("m",),
+        Family("C5_7", EQUIENERGETIC, ("m",), SINGLE,
                "splitting graph against the Kronecker product with a balanced "
                "complete bipartite graph", _plan_c5_7),
-        Family("C5_8", EQUIENERGETIC, ("m",),
+        Family("C5_8", EQUIENERGETIC, ("m",), SINGLE,
                "splitting graph against a shadow-splitting graph of equal order", _plan_c5_8),
-        Family("C5_9", EQUIENERGETIC, ("t",),
+        Family("C5_9", EQUIENERGETIC, ("t",), SINGLE,
                "four mutually equienergetic operator graphs of one order", _plan_c5_9),
-        Family("C6_1", BORDERENERGETIC, ("k",),
+        Family("C6_1", BORDERENERGETIC, ("k",), NONE,
                "two splitting graphs of complete(3) with complete-graph energy", _plan_c6_1),
-        Family("C6_2", BORDERENERGETIC, ("t",),
+        Family("C6_2", BORDERENERGETIC, ("t",), NONE,
                "shadow-splitting of a complete graph with complete-graph energy", _plan_c6_2),
-        Family("C6_3", BORDERENERGETIC, ("t",),
+        Family("C6_3", BORDERENERGETIC, ("t",), NONE,
                "shadow-splitting of a union of complete graphs with "
                "complete-graph energy", _plan_c6_3),
     )
@@ -525,10 +426,14 @@ def get_family(corollary_id: str) -> Family:
         ) from None
 
 
+def _plan(family: Family, spec: FamilySpec) -> list[MemberPlan]:
+    params = _require_params(spec, family.param_names)
+    return family.plan(*_bases(family, spec.base, spec.base_pair), **params)
+
+
 def instantiate_family(spec: FamilySpec) -> list[Graph]:
     """Construct the member graphs of a family instance."""
-    family = get_family(spec.corollary_id)
-    return [plan.build() for plan in family.plan(spec)]
+    return [plan.build() for plan in _plan(get_family(spec.corollary_id), spec)]
 
 
 def _check_method(method: str) -> None:
@@ -551,7 +456,7 @@ def verify(spec: FamilySpec, method: str = "both",
     if tolerance is not None and tolerance <= 0:
         raise ValueError("tolerance must be positive")
     family = get_family(spec.corollary_id)
-    plans = family.plan(spec)
+    plans = _plan(family, spec)
     tol = tolerance if tolerance is not None else verification_tolerance(
         max(plan.order for plan in plans)
     )
@@ -574,12 +479,12 @@ def verify(spec: FamilySpec, method: str = "both",
                 if plan.base_energy_closed is not None
                 else oracle_base_energy(plan.base)
             )
-            predicted = plan.prediction.energy(base_energy)
+            predicted = plan.operator.factor(*plan.args) * base_energy
         if method in ("oracle", "both"):
             spectrum = adjacency_spectrum(plan.build())
             spectra.append(spectrum)
             measured = spectrum.energy()
-        target = 2.0 * (plan.order - 1) if family.kind == BORDERENERGETIC else None
+        target = known_energy("complete", plan.order) if family.kind == BORDERENERGETIC else None
         members.append(MemberReport(plan.description, plan.order, predicted, measured, target))
 
     if family.kind == BORDERENERGETIC:
@@ -604,18 +509,10 @@ def verify(spec: FamilySpec, method: str = "both",
             abs(m.predicted_energy - m.measured_energy) <= tol for m in members
         )
 
-    cospectral = None
-    if spectra:
-        cospectral = [
-            {
-                "pair": [i, j],
-                "cospectral": (
-                    len(spectra[i]) == len(spectra[j])
-                    and spectra[i].matches(spectra[j], tol)
-                ),
-            }
-            for i, j in itertools.combinations(range(len(spectra)), 2)
-        ]
+    cospectral = [
+        {"pair": [i, j], "cospectral": spectra[i].matches(spectra[j], tol)}
+        for i, j in itertools.combinations(range(len(spectra)), 2)
+    ] if spectra else None
 
     verdict = "pass" if (orders_equal and energies_equal) else "fail"
     return VerificationReport(
@@ -676,6 +573,7 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
             raise ValueError(f"empty range for parameter {name!r}")
         values.append(seq)
     grid = list(itertools.product(*values)) if values else [()]
+    _bases(family, base, base_pair)  # a wrong kind of base fails the sweep, not each point
 
     def run(point) -> VerificationReport:
         params = dict(zip(family.param_names, point))

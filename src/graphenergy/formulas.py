@@ -1,78 +1,26 @@
-"""Closed-form energy factors and coefficient-matrix spectra.
+"""Classical closed-form energies and equitable-partition quotients.
 
-These are the analytic counterparts of the brute-force eigensolver: every
-operator graph's energy is a fixed multiple of the base graph's energy, and
-the multiplier comes from the coefficient matrix's spectrum. All values are
-evaluated in floating point; downstream comparisons are tolerance-based.
+The operators' energy factors and coefficient spectra live in the operator
+table, `graphenergy.operators.OPERATORS`. Here are the energies of the
+standard graphs, which serve as closed-form base energies and as the factors
+of the Kronecker-product operators, and the quotient matrix of an equitable
+partition, whose eigenvalues are a subset of the full spectrum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ShadowSplitParams, SplitParams
 from .spectral import MERGE_TOLERANCE, Spectrum
 
 
-@dataclass(frozen=True)
-class EnergyPrediction:
-    """A closed-form energy statement: multiplier applied to a base energy."""
-
-    scale_factor: float
-    source: str
-    parameters: dict
-
-    def energy(self, base_energy: float) -> float:
-        return self.scale_factor * base_energy
-
-
-def split_energy_factor(p: int, q: int) -> float:
-    """Energy multiplier of the generalized splitting operator: p - 1 + sqrt(1 + 4pq)."""
-    SplitParams(p, q)
-    return p - 1 + math.sqrt(1 + 4 * p * q)
-
-
-def shadow_split_energy_factor(c: int, k: int) -> float:
-    """Energy multiplier of the shadow-splitting operator: sqrt(c^2 + 4ck)."""
-    ShadowSplitParams(c, k)
-    return math.sqrt(c * c + 4 * c * k)
-
-
-def split_coefficient_spectrum(p: int, q: int, merge_tolerance: float = MERGE_TOLERANCE) -> Spectrum:
-    """Spectrum of the splitting coefficient matrix, in closed form.
-
-    Eigenvalue 1 with multiplicity p-1, eigenvalue 0 with multiplicity q-1,
-    and the two roots (1 +- sqrt(1 + 4pq)) / 2.
-    """
-    SplitParams(p, q)
-    root = math.sqrt(1 + 4 * p * q)
-    values = [1.0] * (p - 1) + [0.0] * (q - 1) + [(1 + root) / 2, (1 - root) / 2]
-    return Spectrum(np.array(values), merge_tolerance)
-
-
-def shadow_coefficient_spectrum(c: int, k: int, merge_tolerance: float = MERGE_TOLERANCE) -> Spectrum:
-    """Spectrum of the shadow-splitting coefficient matrix, in closed form.
-
-    The matrix has rank 2: c + k - 2 zero eigenvalues plus the two roots
-    (c +- sqrt(c^2 + 4ck)) / 2 of its quotient.
-    """
-    ShadowSplitParams(c, k)
-    root = math.sqrt(c * c + 4 * c * k)
-    values = [0.0] * (c + k - 2) + [(c + root) / 2, (c - root) / 2]
-    return Spectrum(np.array(values), merge_tolerance)
-
-
 def known_energy(family: str, *params: float) -> float:
-    """Closed-form energies and multipliers of the standard families.
+    """Closed-form energies of the standard families.
 
-    - "complete" n           -> 2(n - 1)
+    - "complete" n             -> 2(n - 1)
     - "complete-bipartite" m n -> 2 sqrt(mn)
-    - "shadow" m             -> m, the multiplier applied to the base energy
-    - "kron" e1 e2           -> e1 * e2, energy of a Kronecker product from
-                                its factor energies
     """
     if family == "complete":
         (n,) = params
@@ -84,14 +32,6 @@ def known_energy(family: str, *params: float) -> float:
         if m < 1 or n < 1:
             raise ValueError("complete bipartite graph needs part sizes >= 1")
         return 2.0 * math.sqrt(m * n)
-    if family == "shadow":
-        (m,) = params
-        if m < 1:
-            raise ValueError("shadow multiplicity must be >= 1")
-        return float(m)
-    if family == "kron":
-        e1, e2 = params
-        return e1 * e2
     raise ValueError(f"unknown energy family {family!r}")
 
 

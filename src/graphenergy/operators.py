@@ -1,9 +1,17 @@
 """Graph operators built from small coefficient matrices.
 
-Each operator graph is the Kronecker product of a block-pattern coefficient
-matrix with the base adjacency matrix. The same graphs can be built directly
-from the vertex-neighborhood rules; `construct_by_neighborhood` provides that
-independent route so the two can be cross-checked entrywise.
+Each operator graph is the Kronecker product of a small coefficient matrix C
+with the base adjacency matrix A, as kron(C, A) or kron(A, C). By the
+Kronecker eigenvalue theorem (Horn & Johnson, Topics in Matrix Analysis,
+Thm 4.2.12) its eigenvalues are the products of those of C and A, so its
+energy is E(C) times the base energy. `OPERATORS` describes every operator
+once: its name, parameters, coefficient matrix and side, the closed-form
+spectrum of C and the energy factor E(C) as the paper states it. The command
+line, the family catalog and the formulas all read that table.
+
+The same graphs can be built directly from the vertex-neighborhood rules;
+`construct_by_neighborhood` provides that independent route so the two can be
+cross-checked entrywise.
 
 Vertex layout is fixed: all copies of the base graph first, then the
 splitting-vertex sets, with base vertex order preserved inside every block.
@@ -11,11 +19,15 @@ splitting-vertex sets, with base vertex order preserved inside every block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .graphs import Graph, check_order
+from .formulas import known_energy
+from .graphs import Graph, check_order, complete_bipartite, complete_graph
+from .spectral import MERGE_TOLERANCE, Spectrum
 
 
 @dataclass(frozen=True)
@@ -94,9 +106,11 @@ def coefficient_matrix_shadow(c: int, k: int) -> CoefficientMatrix:
     return CoefficientMatrix(m)
 
 
-def _kron_graph(coeff: CoefficientMatrix, g: Graph, context: str) -> Graph:
-    check_order(coeff.dimension * g.order, context)
-    return Graph(np.kron(coeff.entries.astype(np.uint8), g.adjacency))
+def _kron_graph(name: str, args: tuple[int, ...], g: Graph, context: str) -> Graph:
+    """kron(C, A) for the table entry `name`; the order is checked before C is built."""
+    op = OPERATORS[name]
+    check_order(op.dimension(*args) * g.order, context)
+    return Graph(np.kron(op.coefficients(*args).entries.astype(np.uint8), g.adjacency))
 
 
 def generalized_splitting(g: Graph, p: int, q: int) -> Graph:
@@ -106,9 +120,7 @@ def generalized_splitting(g: Graph, p: int, q: int) -> Graph:
     all p copies; the copies themselves stay disjoint. Order is (p+q) times
     the base order.
     """
-    return _kron_graph(
-        coefficient_matrix_split(p, q), g, f"splitting graph (p={p}, q={q})"
-    )
+    return _kron_graph("split", (p, q), g, f"splitting graph (p={p}, q={q})")
 
 
 def shadow_splitting(g: Graph, c: int, k: int) -> Graph:
@@ -118,18 +130,14 @@ def shadow_splitting(g: Graph, c: int, k: int) -> Graph:
     images in every other copy) and each splitting vertex u_i attaches to the
     neighbors of vertex i in all c copies. Order is (c+k) times the base order.
     """
-    return _kron_graph(
-        coefficient_matrix_shadow(c, k), g, f"shadow-splitting graph (c={c}, k={k})"
-    )
+    return _kron_graph("shadow-split", (c, k), g, f"shadow-splitting graph (c={c}, k={k})")
 
 
 def m_shadow(g: Graph, m: int) -> Graph:
     """Shadow graph: m fully interconnected copies, adjacency kron(J_m, A)."""
     if m < 1:
         raise ValueError(f"shadow multiplicity must be >= 1, got {m}")
-    check_order(m * g.order, f"shadow graph (m={m})")
-    j = np.ones((m, m), dtype=np.uint8)
-    return Graph(np.kron(j, g.adjacency))
+    return _kron_graph("shadow", (m,), g, f"shadow graph (m={m})")
 
 
 def m_splitting(g: Graph, m: int) -> Graph:
@@ -147,6 +155,147 @@ def kronecker_product(g: Graph, h: Graph) -> Graph:
     """
     check_order(g.order * h.order, "Kronecker product")
     return Graph(np.kron(g.adjacency, h.adjacency))
+
+
+def split_energy_factor(p: int, q: int) -> float:
+    """Energy multiplier of the generalized splitting operator: p - 1 + sqrt(1 + 4pq)."""
+    SplitParams(p, q)
+    return p - 1 + math.sqrt(1 + 4 * p * q)
+
+
+def shadow_split_energy_factor(c: int, k: int) -> float:
+    """Energy multiplier of the shadow-splitting operator: sqrt(c^2 + 4ck)."""
+    ShadowSplitParams(c, k)
+    return math.sqrt(c * c + 4 * c * k)
+
+
+def _split_eigenvalues(p: int, q: int) -> tuple[tuple[float, int], ...]:
+    """1 with multiplicity p-1, 0 with multiplicity q-1, and (1 +- sqrt(1 + 4pq)) / 2."""
+    SplitParams(p, q)
+    root = math.sqrt(1 + 4 * p * q)
+    return (1.0, p - 1), (0.0, q - 1), ((1 + root) / 2, 1), ((1 - root) / 2, 1)
+
+
+def _shadow_split_eigenvalues(c: int, k: int) -> tuple[tuple[float, int], ...]:
+    """The matrix has rank 2: c + k - 2 zero eigenvalues plus the two roots
+    (c +- sqrt(c^2 + 4ck)) / 2 of its quotient."""
+    ShadowSplitParams(c, k)
+    root = math.sqrt(c * c + 4 * c * k)
+    return (0.0, c + k - 2), ((c + root) / 2, 1), ((c - root) / 2, 1)
+
+
+@dataclass(frozen=True)
+class Operator:
+    """A graph operator: adjacency kron(C, A), or kron(A, C), for the base
+    adjacency A and a small coefficient matrix C fixed by the parameters.
+
+    - `name`: the operator's spelling in an operator spec such as `split:2,1`.
+    - `params`: the parameter names; their number is the arity.
+    - `coefficients(*args)`: the coefficient matrix C.
+    - `coefficient_first`: True for kron(C, A), False for kron(A, C).
+    - `eigenvalues(*args)`: the closed-form spectrum of C, as
+      (eigenvalue, multiplicity) pairs.
+    - `factor(*args)`: the energy factor E(C), in the paper's closed form.
+    - `build(g, *args)`: the operator graph of base g.
+    - `label`, `member`: a family member's check context and description,
+      formatted with the parameters by name (`member` also with `label` and
+      `base`, the base graph's description).
+    - `cli`: whether the command line offers the operator.
+    """
+
+    name: str
+    params: tuple[str, ...]
+    coefficients: Callable[..., CoefficientMatrix]
+    coefficient_first: bool
+    eigenvalues: Callable[..., tuple[tuple[float, int], ...]]
+    factor: Callable[..., float]
+    build: Callable[..., Graph]
+    label: str
+    member: str = "{label} of {base}"
+    cli: bool = True
+
+    def dimension(self, *args: int) -> int:
+        """Order of C, so the operator graph has dimension * base order vertices."""
+        return sum(count for _, count in self.eigenvalues(*args))
+
+    def coefficient_spectrum(self, *args: int,
+                             merge_tolerance: float = MERGE_TOLERANCE) -> Spectrum:
+        values, counts = zip(*self.eigenvalues(*args))
+        return Spectrum(np.repeat(values, counts), merge_tolerance)
+
+    def label_for(self, args: tuple[int, ...]) -> str:
+        return self.label.format(**dict(zip(self.params, args)))
+
+    def describe(self, args: tuple[int, ...], base: str) -> str:
+        return self.member.format(label=self.label_for(args), base=base,
+                                  **dict(zip(self.params, args)))
+
+
+# Builders look up the public functions by name when called, so rebinding
+# one (as bench/layers.py does to time it) reaches every caller of the table.
+_KRON_COMPLETE_BIPARTITE = Operator(
+    "kron-complete-bipartite", ("r",),
+    lambda r: CoefficientMatrix(complete_bipartite(r, r).adjacency), False,
+    lambda r: ((r, 1), (0, 2 * r - 2), (-r, 1)),
+    lambda r: known_energy("complete-bipartite", r, r),
+    lambda g, r: kronecker_product(g, complete_bipartite(r, r)),
+    "kron with complete-bipartite({r},{r})", "kron of {base} with complete-bipartite({r},{r})",
+    cli=False,
+)
+
+OPERATORS: dict[str, Operator] = {op.name: op for op in (
+    Operator(
+        "split", ("p", "q"), coefficient_matrix_split, True, _split_eigenvalues,
+        split_energy_factor, lambda g, p, q: generalized_splitting(g, p, q),
+        "splitting(p={p},q={q})",
+    ),
+    Operator(
+        "shadow-split", ("c", "k"), coefficient_matrix_shadow, True, _shadow_split_eigenvalues,
+        shadow_split_energy_factor, lambda g, c, k: shadow_splitting(g, c, k),
+        "shadow-splitting(c={c},k={k})",
+    ),
+    Operator(
+        "shadow", ("m",), lambda m: CoefficientMatrix(np.ones((m, m), dtype=np.int64)), True,
+        lambda m: ((m, 1), (0, m - 1)),
+        lambda m: float(m),
+        lambda g, m: m_shadow(g, m),
+        "shadow(m={m})",
+    ),
+    Operator(
+        "splitting", ("m",), lambda m: coefficient_matrix_split(1, m), True,
+        lambda m: _split_eigenvalues(1, m),
+        lambda m: math.sqrt(1 + 4 * m),
+        lambda g, m: m_splitting(g, m),
+        "splitting(m={m})",
+    ),
+    Operator(
+        "kron-complete", ("r",),
+        lambda r: CoefficientMatrix(complete_graph(r).adjacency), False,
+        lambda r: ((r - 1, 1), (-1, r - 1)),
+        lambda r: known_energy("complete", r),
+        lambda g, r: kronecker_product(g, complete_graph(r)),
+        "kron with complete({r})", "kron of {base} with complete({r})",
+        cli=False,
+    ),
+    _KRON_COMPLETE_BIPARTITE,
+    replace(
+        _KRON_COMPLETE_BIPARTITE, name="complete-bipartite-kron", coefficient_first=True,
+        build=lambda g, r: kronecker_product(complete_bipartite(r, r), g),
+        member="kron of complete-bipartite({r},{r}) with {base}",
+    ),
+)}
+
+
+def split_coefficient_spectrum(p: int, q: int,
+                               merge_tolerance: float = MERGE_TOLERANCE) -> Spectrum:
+    """Closed-form spectrum of the splitting coefficient matrix [[I_p, J], [J, 0_q]]."""
+    return OPERATORS["split"].coefficient_spectrum(p, q, merge_tolerance=merge_tolerance)
+
+
+def shadow_coefficient_spectrum(c: int, k: int,
+                                merge_tolerance: float = MERGE_TOLERANCE) -> Spectrum:
+    """Closed-form spectrum of the shadow-splitting coefficient matrix [[J_c, J], [J, 0_k]]."""
+    return OPERATORS["shadow-split"].coefficient_spectrum(c, k, merge_tolerance=merge_tolerance)
 
 
 def construct_by_neighborhood(g: Graph, params: SplitParams | ShadowSplitParams) -> Graph:

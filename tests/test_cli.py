@@ -14,7 +14,7 @@ from graphenergy import (
     star_graph,
 )
 from graphenergy import families
-from graphenergy.cli import main
+from graphenergy.cli import build_parser, main
 
 
 def write_g6(path, g):
@@ -270,6 +270,21 @@ class TestSweep:
         assert [r["verdict"] for r in payload] == ["pass", "pass", "error"]
         assert payload[2]["error"] == f"{type(exc).__name__}: {exc}"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["C6_1", "k=1..2", "--base", "{c4}"], "C6_1 constructs its own base graphs"),
+        (["C5_1", "p=1", "q=1..2", "--base", "{c4}"],
+         "C5_1 takes a base pair, not a single base graph"),
+        (["C5_6", "--base", "{c4}", "--base2", "{c4}"],
+         "only C5_1 takes a base pair (--base plus --base2)"),
+    ], ids=["C6_1-base", "C5_1-single", "C5_6-pair"])
+    def test_wrong_kind_of_base_is_a_usage_error(self, capsys, c4_file, argv, message):
+        # checked once before the grid, as verify does: exit 2 and no
+        # per-point "error" reports
+        assert main(["sweep", *(a.format(c4=c4_file) for a in argv)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_jobs_flag(self, capsys):
         code, payload = run_json(
             capsys, ["sweep", "C5_5", "c=1..2", "k=2..3", "--jobs", "2",
@@ -277,6 +292,28 @@ class TestSweep:
         )
         assert code == 1  # off-manifold points fail (k != 2c)
         assert len(payload) == 4
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, capsys):
+        build_parser.cache_clear()
+        try:
+            assert main(["gen", "complete", "3"]) == 0
+            parser = build_parser()
+            assert main(["gen", "cycle", "4"]) == 0
+            assert main(["convert", "nope.g6"]) == 2
+            with pytest.raises(SystemExit) as exc:
+                main(["gen", "petersen", "5"])
+            assert exc.value.code == 2
+            with pytest.raises(SystemExit) as exc:
+                main(["energy", "x.g6", "--tol", "-1"])
+            assert exc.value.code == 2
+            assert main(["gen", "complete", "3"]) == 0
+            assert build_parser() is parser
+            assert build_parser.cache_info().misses == 1
+        finally:
+            build_parser.cache_clear()
+        assert capsys.readouterr().out == "Bw\nCl\nBw\n"
 
 
 class TestConvert:

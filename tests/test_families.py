@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from graphenergy import (
+    OPERATORS,
     FamilySpec,
+    OrderCapError,
     OutOfDomainError,
     canonical_equienergetic_pair,
     complete_graph,
@@ -349,6 +352,26 @@ class TestSweep:
         reports = sweep("C5_6", {})
         assert len(reports) == 1
         assert reports[0].passed
+
+    def test_wrong_kind_of_base_fails_before_any_point(self):
+        with pytest.raises(ValueError, match="constructs its own base"):
+            sweep("C6_1", {"k": [1, 2]}, base=cycle_graph(4))
+        with pytest.raises(ValueError, match="single base"):
+            sweep("C5_6", {}, base_pair=canonical_equienergetic_pair())
+        with pytest.raises(ValueError, match="base pair"):
+            sweep("C5_1", {"p": [1], "q": [1]}, base=cycle_graph(4))
+
+    @pytest.mark.parametrize("operator,args,context", [
+        ("shadow", (3,), "shadow(m=3)"),
+        ("kron-complete", (3,), "kron with complete(3)"),
+        ("kron-complete-bipartite", (2,), "kron with complete-bipartite(2,2)"),
+        ("complete-bipartite-kron", (2,), "kron with complete-bipartite(2,2)"),
+    ])
+    def test_member_over_the_cap_names_its_operator(self, monkeypatch, operator, args,
+                                                    context):
+        monkeypatch.setenv(MAX_ORDER_ENV_VAR, "11")
+        with pytest.raises(OrderCapError, match=re.escape(f"{context} would have order")):
+            families.MemberPlan(OPERATORS[operator], args, cycle_graph(4))
 
     def test_points_over_the_order_cap_are_skipped(self, monkeypatch):
         monkeypatch.setenv(MAX_ORDER_ENV_VAR, "60")  # C6_1 members: 9, 51 | 15, 81

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from graphenergy import (
-    EnergyPrediction,
     coefficient_matrix_shadow,
     coefficient_matrix_split,
     cycle_graph,
@@ -160,19 +159,11 @@ class TestKnownEnergies:
         assert known_energy("complete-bipartite", 9, 9) == pytest.approx(18.0)
         assert known_energy("complete-bipartite", 4, 4) == pytest.approx(8.0)
 
-    def test_shadow_multiplier(self):
-        assert known_energy("shadow", 3) == 3.0
-
-    def test_kron_product(self):
-        assert known_energy("kron", 4.0, 4.0) == 16.0
-
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown energy family"):
             known_energy("petersen", 1)
-
-    def test_prediction_applies_factor(self):
-        pred = EnergyPrediction(4.0, "splitting", {"p": 2, "q": 1})
-        assert pred.energy(4.0) == 16.0
+        with pytest.raises(ValueError, match="unknown energy family"):
+            known_energy("shadow", 3)
 
 
 class TestQuotientMatrix:

@@ -1,0 +1,123 @@
+"""The operator table against the paper's closed forms and the dense routes.
+
+Every entry of `OPERATORS` is an adjacency kron(C, A) or kron(A, C). Its
+energy factor must be the paper's literal formula, and that formula must be
+E(C): the sum of |eigenvalue| over the closed-form spectrum of C and over a
+dense eigensolve of C (Horn & Johnson, Topics in Matrix Analysis,
+Thm 4.2.12). The factor is compared with those sums to a tolerance only: the
+literal formula and the sum can differ in the last bit.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from graphenergy import (
+    OPERATORS,
+    ShadowSplitParams,
+    SplitParams,
+    complete_graph,
+    construct_by_neighborhood,
+    cycle_graph,
+    disjoint_union,
+    energy,
+    kronecker_product,
+    path_graph,
+    random_graph,
+)
+
+from conftest import random_graphs
+
+# the paper's energy factor of each operator, as the paper writes it
+PAPER_FACTORS = {
+    "split": lambda p, q: p - 1 + math.sqrt(1 + 4 * p * q),
+    "shadow-split": lambda c, k: math.sqrt(c ** 2 + 4 * c * k),
+    "shadow": lambda m: m,
+    "splitting": lambda m: math.sqrt(1 + 4 * m),
+    "kron-complete": lambda r: 2 * (r - 1),  # E(K_r)
+    "kron-complete-bipartite": lambda r: 2 * math.sqrt(r * r),  # E(K_{r,r})
+    "complete-bipartite-kron": lambda r: 2 * math.sqrt(r * r),
+}
+
+BASES = [cycle_graph(4), complete_graph(3), random_graph(5, 0.5, seed=5),
+         disjoint_union([path_graph(3), complete_graph(2)])]
+
+
+def grid(op, top2=7, top1=13):
+    """Every argument tuple of `op` with each parameter in 1..top-1."""
+    top = top2 if len(op.params) == 2 else top1
+    return list(itertools.product(range(1, top), repeat=len(op.params)))
+
+
+def test_every_entry_has_a_paper_factor():
+    assert set(PAPER_FACTORS) == set(OPERATORS)
+    cli = sorted(name for name, op in OPERATORS.items() if op.cli)
+    assert cli == ["shadow", "shadow-split", "split", "splitting"]
+
+
+@pytest.mark.parametrize("name", PAPER_FACTORS)
+def test_factor_is_the_papers_formula_exactly(name):
+    for args in grid(OPERATORS[name], top2=60, top1=200):
+        assert OPERATORS[name].factor(*args) == PAPER_FACTORS[name](*args), args
+
+
+@pytest.mark.parametrize("name", PAPER_FACTORS)
+def test_factor_is_the_energy_of_the_coefficient_matrix(name):
+    op = OPERATORS[name]
+    for args in grid(op):
+        c = op.coefficients(*args).entries
+        dim = c.shape[0]
+        assert op.dimension(*args) == dim
+        closed = op.coefficient_spectrum(*args)
+        dense = np.linalg.eigvalsh(c.astype(np.float64))
+        assert len(closed) == dim
+        assert abs(op.factor(*args) - closed.energy()) <= 1e-9 * dim, args
+        assert abs(op.factor(*args) - np.abs(dense).sum()) <= 1e-9 * dim, args
+        assert np.max(np.abs(closed.values - dense[::-1])) <= 1e-9 * dim, args
+
+
+@pytest.mark.parametrize("name", PAPER_FACTORS)
+def test_build_is_the_kronecker_product_on_the_recorded_side(name):
+    op = OPERATORS[name]
+    for args in grid(op, top2=4, top1=5):
+        c = op.coefficients(*args).entries
+        for g in BASES:
+            a = g.adjacency
+            want = np.kron(c, a) if op.coefficient_first else np.kron(a, c)
+            assert np.array_equal(op.build(g, *args).adjacency, want), (args, g)
+
+
+@pytest.mark.parametrize("name,params", [("split", SplitParams),
+                                         ("shadow-split", ShadowSplitParams)])
+def test_build_matches_the_neighborhood_rules(name, params):
+    op = OPERATORS[name]
+    for g in BASES + random_graphs(3, 6, seed=17):
+        for args in grid(op, top2=4):
+            assert op.build(g, *args) == construct_by_neighborhood(g, params(*args)), args
+
+
+def test_kronecker_energy_is_the_product_of_the_factor_energies():
+    graphs = BASES + random_graphs(4, 6, seed=29)
+    for g, h in itertools.product(graphs, repeat=2):
+        tol = 1e-9 * g.order * h.order
+        assert abs(energy(kronecker_product(g, h)) - energy(g) * energy(h)) <= tol
+
+
+def test_catalog_member_labels():
+    labels = {name: op.label_for((2, 3)[:len(op.params)]) for name, op in OPERATORS.items()}
+    assert labels == {
+        "split": "splitting(p=2,q=3)",
+        "shadow-split": "shadow-splitting(c=2,k=3)",
+        "shadow": "shadow(m=2)",
+        "splitting": "splitting(m=2)",
+        "kron-complete": "kron with complete(2)",
+        "kron-complete-bipartite": "kron with complete-bipartite(2,2)",
+        "complete-bipartite-kron": "kron with complete-bipartite(2,2)",
+    }
+    assert OPERATORS["kron-complete"].describe((3,), "base") == "kron of base with complete(3)"
+    assert (OPERATORS["complete-bipartite-kron"].describe((2,), "base")
+            == "kron of complete-bipartite(2,2) with base")
+    assert (OPERATORS["split"].describe((2, 1), "first base")
+            == "splitting(p=2,q=1) of first base")

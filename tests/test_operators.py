@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from graphenergy import (
     CoefficientMatrix,
+    OrderCapError,
     ShadowSplitParams,
     SplitParams,
     coefficient_matrix_shadow,
@@ -300,6 +302,26 @@ class TestStructuralLaws:
 
 
 class TestOrderCap:
+    @pytest.mark.parametrize("build", [
+        lambda g: generalized_splitting(g, 2000, 1),
+        lambda g: shadow_splitting(g, 1, 2000),
+        lambda g: m_shadow(g, 2000),
+        lambda g: m_splitting(g, 2000),
+    ], ids=["split", "shadow-split", "shadow", "splitting"])
+    def test_over_the_cap_fails_before_the_coefficient_matrix_is_built(self, monkeypatch,
+                                                                        build):
+        # a 2001 x 2001 int64 coefficient matrix alone would take 32 MiB
+        monkeypatch.setenv(MAX_ORDER_ENV_VAR, "100")
+        g = cycle_graph(4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderCapError, match="dense cap"):
+                build(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_construction_respects_cap(self, monkeypatch):
         monkeypatch.setenv(MAX_ORDER_ENV_VAR, "10")
         g = cycle_graph(4)

@@ -16,7 +16,6 @@ from graphenergy import (
     eigenvalues_symmetric,
     energy,
     generalized_splitting,
-    jacobi_eigenvalues,
     m_shadow,
     path_graph,
     random_graph,
@@ -26,6 +25,7 @@ from graphenergy import (
 )
 
 from conftest import random_graphs
+from jacobi_reference import jacobi_eigenvalues
 
 
 class TestEigenvaluesSymmetric:
