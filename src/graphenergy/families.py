@@ -557,7 +557,8 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
     beyond the dense-order cap) yield "skipped" reports instead of aborting
     the sweep; any other exception at a grid point, such as a LAPACK
     non-convergence, yields an "error" report that names it. Reports come
-    back in grid order regardless of `jobs`.
+    back in grid order regardless of `jobs`, the number of worker threads,
+    which defaults to the CPUs this process may run on.
     """
     _check_method(method)
     family = get_family(corollary_id)
@@ -589,7 +590,8 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
         )
 
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     if jobs <= 1 or len(grid) <= 1:
         return [run(point) for point in grid]
     with ThreadPoolExecutor(max_workers=jobs) as pool:

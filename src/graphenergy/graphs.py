@@ -50,6 +50,30 @@ def check_order(order: int, context: str = "graph") -> None:
         )
 
 
+def symmetric_zero_one(a: np.ndarray, name: str) -> np.ndarray:
+    """A C-ordered uint8 copy of the square matrix `a`, checked to hold only
+    0/1 entries and to be symmetric; a ValueError that names `name` otherwise.
+
+    Boolean and integer input is cast once, and the cast is proven lossless
+    by comparing it with the input, so an entry that wraps (256 becomes 0)
+    is caught. Validation holds the copy and one boolean temporary, two bytes
+    per entry. Other dtypes (floats, complex numbers, objects) are compared
+    with 0 and 1 by value first, because casting NaN, a complex number or an
+    object to uint8 can warn or raise where the comparison cannot.
+    """
+    if a.dtype.kind not in "biu":
+        ones = a == 1
+        if not (ones | (a == 0)).all():
+            raise ValueError(f"{name} entries must be 0 or 1")
+        a = ones
+    u = a.astype(np.uint8, order="C")
+    if u.max() > 1 or not np.array_equal(u, a):
+        raise ValueError(f"{name} entries must be 0 or 1")
+    if not np.array_equal(u, u.T):
+        raise ValueError(f"{name} must be symmetric")
+    return u
+
+
 class Graph:
     """An undirected simple graph on at least one vertex.
 
@@ -69,14 +93,9 @@ class Graph:
         if n < 1:
             raise ValueError("graph order must be >= 1")
         check_order(n)
-        if not np.isin(a, (0, 1)).all():
-            raise ValueError("adjacency entries must be 0 or 1")
-        a = a.astype(np.uint8)
-        if not np.array_equal(a, a.T):
-            raise ValueError("adjacency must be symmetric")
+        a = symmetric_zero_one(a, "adjacency")
         if np.any(np.diagonal(a) != 0):
             raise ValueError("adjacency must have a zero diagonal (no self-loops)")
-        a = np.ascontiguousarray(a)
         a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
 

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .formulas import known_energy
-from .graphs import Graph, check_order, complete_bipartite, complete_graph
+from .graphs import Graph, check_order, complete_bipartite, complete_graph, symmetric_zero_one
 from .spectral import MERGE_TOLERANCE, Spectrum
 
 
@@ -66,21 +66,17 @@ class ShadowSplitParams:
 class CoefficientMatrix:
     """Small symmetric 0/1 block-pattern matrix defining an operator.
 
-    Kronecker-multiplying `entries` with a base adjacency matrix yields the
-    operator graph's adjacency matrix.
+    Kronecker-multiplying `entries` (uint8, like a Graph's adjacency) with a
+    base adjacency matrix yields the operator graph's adjacency matrix.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.int64)
+        e = np.asarray(self.entries)
         if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] < 1:
             raise ValueError("coefficient matrix must be square and nonempty")
-        if not np.isin(e, (0, 1)).all():
-            raise ValueError("coefficient matrix entries must be 0 or 1")
-        if not np.array_equal(e, e.T):
-            raise ValueError("coefficient matrix must be symmetric")
-        e = e.copy()
+        e = symmetric_zero_one(e, "coefficient matrix")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
@@ -92,8 +88,8 @@ class CoefficientMatrix:
 def coefficient_matrix_split(p: int, q: int) -> CoefficientMatrix:
     """Block matrix [[I_p, J], [J, 0_q]] of the generalized splitting operator."""
     SplitParams(p, q)
-    m = np.ones((p + q, p + q), dtype=np.int64)
-    m[:p, :p] = np.eye(p, dtype=np.int64)
+    m = np.ones((p + q, p + q), dtype=np.uint8)
+    m[:p, :p] = np.eye(p, dtype=np.uint8)
     m[p:, p:] = 0
     return CoefficientMatrix(m)
 
@@ -101,7 +97,7 @@ def coefficient_matrix_split(p: int, q: int) -> CoefficientMatrix:
 def coefficient_matrix_shadow(c: int, k: int) -> CoefficientMatrix:
     """Block matrix [[J_c, J], [J, 0_k]] of the shadow-splitting operator."""
     ShadowSplitParams(c, k)
-    m = np.ones((c + k, c + k), dtype=np.int64)
+    m = np.ones((c + k, c + k), dtype=np.uint8)
     m[c:, c:] = 0
     return CoefficientMatrix(m)
 
@@ -110,7 +106,7 @@ def _kron_graph(name: str, args: tuple[int, ...], g: Graph, context: str) -> Gra
     """kron(C, A) for the table entry `name`; the order is checked before C is built."""
     op = OPERATORS[name]
     check_order(op.dimension(*args) * g.order, context)
-    return Graph(np.kron(op.coefficients(*args).entries.astype(np.uint8), g.adjacency))
+    return Graph(np.kron(op.coefficients(*args).entries, g.adjacency))
 
 
 def generalized_splitting(g: Graph, p: int, q: int) -> Graph:
@@ -255,7 +251,7 @@ OPERATORS: dict[str, Operator] = {op.name: op for op in (
         "shadow-splitting(c={c},k={k})",
     ),
     Operator(
-        "shadow", ("m",), lambda m: CoefficientMatrix(np.ones((m, m), dtype=np.int64)), True,
+        "shadow", ("m",), lambda m: CoefficientMatrix(np.ones((m, m), dtype=np.uint8)), True,
         lambda m: ((m, 1), (0, m - 1)),
         lambda m: float(m),
         lambda g, m: m_shadow(g, m),

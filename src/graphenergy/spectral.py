@@ -2,6 +2,11 @@
 
 The eigensolver delegates to LAPACK (numpy.linalg.eigvalsh). Energy is the
 sum of absolute adjacency eigenvalues.
+
+A dense eigensolve of order n holds two float64 copies of the matrix, about
+16 n^2 bytes: the one made here and the one numpy's eigvalsh makes for
+LAPACK. tracemalloc sees only the first, so a peak it reports is about
+8 n^2 bytes, half the real one.
 """
 
 from __future__ import annotations
@@ -90,15 +95,25 @@ def _check_square_symmetric(matrix) -> np.ndarray:
 
 
 def eigenvalues_symmetric(matrix, merge_tolerance: float = MERGE_TOLERANCE) -> Spectrum:
-    """All eigenvalues of a real symmetric matrix, sorted descending."""
-    a = _check_square_symmetric(matrix)
+    """All eigenvalues of a real symmetric matrix, or of a Graph's adjacency
+    matrix, sorted descending.
+
+    A Graph is converted to float64 with no symmetry check: its 0/1 matrix
+    was proven exactly symmetric when the Graph was built, and 0 and 1 are
+    exact in float64. Any other matrix is checked to be square and symmetric
+    within SYMMETRY_TOLERANCE.
+    """
+    if isinstance(matrix, Graph):
+        a = matrix.adjacency.astype(np.float64)
+    else:
+        a = _check_square_symmetric(matrix)
     values = np.linalg.eigvalsh(a)
     return Spectrum(values[::-1], merge_tolerance)
 
 
 def adjacency_spectrum(g: Graph, merge_tolerance: float = MERGE_TOLERANCE) -> Spectrum:
     """Spectrum of the adjacency matrix of g."""
-    return eigenvalues_symmetric(g.adjacency.astype(np.float64), merge_tolerance)
+    return eigenvalues_symmetric(g, merge_tolerance)
 
 
 def energy(g: Graph) -> float:

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codec_reference as reference
-from graphenergy import io, random_graph
+from graphenergy import (Graph, adjacency_spectrum, complete_graph, generalized_splitting, io,
+                         random_graph)
 
 from test_io import graphs
 
@@ -300,3 +301,22 @@ def test_graph6_encoder_memory_is_a_few_bytes_per_entry():
     g = random_graph(400, 0.5, seed=400)
     assert _peak_bytes(io.encode_graph6, g) <= 2 * g.order ** 2
     assert io.encode_graph6(g) == reference.encode_graph6(g)
+
+
+def test_graph_validation_holds_two_bytes_per_entry():
+    # a uint8 copy plus one boolean temporary; np.isin and int casts took 12 n^2
+    a = random_graph(400, 0.5, seed=400).adjacency.copy()
+    assert _peak_bytes(Graph, a) <= 3 * a.size
+
+
+def test_adjacency_spectrum_holds_one_float64_copy():
+    # numpy's eigvalsh copies the matrix once more outside tracemalloc's view
+    g = random_graph(400, 0.5, seed=400)
+    assert _peak_bytes(adjacency_spectrum, g) <= 1.1 * 8 * g.order ** 2
+
+
+def test_kronecker_build_over_one_vertex_holds_a_few_copies_of_the_result():
+    # the coefficient matrix is as large as the order-2000 result here
+    result_bytes = 2000 ** 2
+    peak = _peak_bytes(lambda g: generalized_splitting(g, 1999, 1), complete_graph(1))
+    assert peak <= 4 * result_bytes

@@ -340,6 +340,24 @@ class TestSweep:
         parallel = sweep("C5_5", {"c": [1, 2], "k": [2, 4]}, jobs=4)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
 
+    def test_default_jobs_are_the_cpus_this_process_may_use(self, monkeypatch):
+        workers = []
+
+        class RecordingPool(families.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(families, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(families.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(families.os, "sched_getaffinity", lambda pid: {0, 5, 6}, raising=False)
+        sweep("C6_1", {"k": [1, 2]}, method="formula")
+        monkeypatch.delattr(families.os, "sched_getaffinity", raising=False)
+        sweep("C6_1", {"k": [1, 2]}, method="formula")
+        monkeypatch.setattr(families.os, "cpu_count", lambda: None)
+        assert [r.verdict for r in sweep("C6_1", {"k": [1, 2]}, method="formula")] == ["pass"] * 2
+        assert workers == [3, 8]
+
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError, match="empty range"):
             sweep("C6_1", {"k": []})

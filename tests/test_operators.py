@@ -70,6 +70,19 @@ class TestCoefficientMatrices:
         with pytest.raises(ValueError):
             CoefficientMatrix([[1, 1], [0, 0]])
 
+    @pytest.mark.parametrize("entries", [
+        [[0, 2], [2, 0]],
+        np.array([[1, 256], [256, 0]], dtype=np.uint16),
+        [[0.5, 1.0], [1.0, 0.0]],
+    ])
+    def test_coefficient_matrix_rejects_entries_other_than_0_and_1(self, entries):
+        with pytest.raises(ValueError, match="coefficient matrix entries must be 0 or 1"):
+            CoefficientMatrix(entries)
+
+    def test_coefficient_matrix_is_uint8_like_an_adjacency(self):
+        assert CoefficientMatrix([[True, True], [True, False]]).entries.dtype == np.uint8
+        assert coefficient_matrix_split(2, 3).entries.dtype == np.uint8
+
     def test_coefficient_matrix_rejects_empty(self):
         with pytest.raises(ValueError):
             CoefficientMatrix(np.zeros((0, 0), dtype=int))

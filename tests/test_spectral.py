@@ -26,6 +26,7 @@ from graphenergy import (
 
 from conftest import random_graphs
 from jacobi_reference import jacobi_eigenvalues
+from test_codec_golden import acceptance_corpus
 
 
 class TestEigenvaluesSymmetric:
@@ -46,9 +47,20 @@ class TestEigenvaluesSymmetric:
         values = adjacency_spectrum(random_graph(15, 0.4, seed=1)).values
         assert np.all(np.diff(values) <= 0)
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            eigenvalues_symmetric([[0.0, 1.0], [1.0 + 1e-9, 0.0]])
+    @pytest.mark.parametrize("matrix", [
+        [[0.0, 1.0], [1.0 + 1e-9, 0.0]],
+        np.array([[0, 1], [0, 0]], dtype=np.uint8),
+        np.array([[0.0, 1.0], [1.0 + 1e-11, 0.0]]),
+    ])
+    def test_rejects_asymmetric(self, matrix):
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            eigenvalues_symmetric(matrix)
+
+    def test_graph_input_matches_its_float_matrix_bit_for_bit(self):
+        for name, g in acceptance_corpus():
+            via_graph = eigenvalues_symmetric(g).values
+            via_matrix = eigenvalues_symmetric(g.adjacency.astype(float)).values
+            assert via_graph.tobytes() == via_matrix.tobytes(), name
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
