@@ -31,6 +31,7 @@ from .operators import generalized_splitting  # noqa: F401  (bench/layers.py reb
 from .spectral import (
     Spectrum,
     adjacency_spectrum,
+    check_tolerance,
     structured_spectrum,
     verification_tolerance,
 )
@@ -299,7 +300,7 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     ranges = _parse_ranges(args.ranges)
     reports = families.sweep(args.family_id, ranges, method=args.method, tolerance=args.tol,
-                             jobs=args.jobs, **_base_arguments(args))
+                             **_base_arguments(args))
     if args.table:
         _write_text("\n".join(r.to_table() for r in reports), args.output)
     else:
@@ -402,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ranges", nargs="*", help="parameter ranges like k=1..5 or k=-1,1")
     p.add_argument("--base", help="base graph file (default: 4-cycle)")
     p.add_argument("--base2", help="second base graph file (C5_1 only)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker threads (default: available execution units)")
     add_method(p)
     add_tol(p)
     add_output(p, json_output=True)
@@ -424,10 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", None) is not None and args.tol <= 0:
-        parser.error("--tol must be positive")
-    if getattr(args, "jobs", None) is not None and args.jobs < 1:
-        parser.error("--jobs must be >= 1")
+    try:
+        check_tolerance(getattr(args, "tol", None))
+    except ValueError as exc:
+        parser.error(f"--tol: {exc}")
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

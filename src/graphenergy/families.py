@@ -11,9 +11,7 @@ scale factors and brute-force eigensolves) and reports the comparison.
 from __future__ import annotations
 
 import itertools
-import os
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,7 +26,7 @@ from .graphs import (
     star_graph,
 )
 from .operators import OPERATORS, Operator
-from .spectral import adjacency_spectrum, verification_tolerance
+from .spectral import adjacency_spectrum, check_tolerance, verification_tolerance
 
 EQUIENERGETIC = "equienergetic"
 BORDERENERGETIC = "borderenergetic"
@@ -453,8 +451,7 @@ def verify(spec: FamilySpec, method: str = "both",
     once otherwise; it never eigensolves a constructed member.
     """
     _check_method(method)
-    if tolerance is not None and tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tolerance(tolerance)
     family = get_family(spec.corollary_id)
     plans = _plan(family, spec)
     tol = tolerance if tolerance is not None else verification_tolerance(
@@ -529,22 +526,6 @@ def verify(spec: FamilySpec, method: str = "both",
     )
 
 
-def verify_equienergetic(spec: FamilySpec, method: str = "both",
-                         tolerance: float | None = None) -> VerificationReport:
-    """Verify an equal-energy family instance (C5_*)."""
-    if get_family(spec.corollary_id).kind != EQUIENERGETIC:
-        raise ValueError(f"{spec.corollary_id} is not an equienergetic family")
-    return verify(spec, method, tolerance)
-
-
-def verify_borderenergetic(spec: FamilySpec, method: str = "both",
-                           tolerance: float | None = None) -> VerificationReport:
-    """Verify a border-energy family instance (C6_*)."""
-    if get_family(spec.corollary_id).kind != BORDERENERGETIC:
-        raise ValueError(f"{spec.corollary_id} is not a borderenergetic family")
-    return verify(spec, method, tolerance)
-
-
 def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
           method: str = "both", base: Graph | None = None,
           base_pair: tuple[Graph, Graph] | None = None,
@@ -556,11 +537,16 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
     declared parameter order. Grid points outside the family's domain (or
     beyond the dense-order cap) yield "skipped" reports instead of aborting
     the sweep; any other exception at a grid point, such as a LAPACK
-    non-convergence, yields an "error" report that names it. Reports come
-    back in grid order regardless of `jobs`, the number of worker threads,
-    which defaults to the CPUs this process may run on.
+    non-convergence, yields an "error" report that names it.
+
+    Points run serially on the caller's thread, in grid order: a thread pool
+    lost to the serial loop on the benchmark's sweep-grid workload in 5 of 5
+    paired runs on 2 CPUs, because each point is mostly Python that holds
+    the interpreter lock. `jobs` is ignored and kept only for callers that
+    still pass it.
     """
     _check_method(method)
+    check_tolerance(tolerance)
     family = get_family(corollary_id)
     if set(ranges) != set(family.param_names):
         raise ValueError(
@@ -589,10 +575,4 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
             corollary_id, family.kind, params, method, verdict, message
         )
 
-    if jobs is None:
-        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-    if jobs <= 1 or len(grid) <= 1:
-        return [run(point) for point in grid]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run, grid))
+    return [run(point) for point in grid]

@@ -11,6 +11,7 @@ LAPACK. tracemalloc sees only the first, so a peak it reports is about
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,14 @@ def verification_tolerance(order: int) -> float:
     order here, so the tolerance is order * 1e-10 with a floor of 1e-8.
     """
     return max(1e-8, order * 1e-10)
+
+
+def check_tolerance(tolerance: float | None) -> None:
+    """Raise ValueError unless `tolerance` is None (the default,
+    verification_tolerance) or positive and finite: an infinite tolerance
+    would pass every comparison, and NaN would pass none."""
+    if tolerance is not None and not 0 < tolerance < math.inf:
+        raise ValueError("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,10 +157,9 @@ def are_cospectral(a: Graph, b: Graph, tolerance: float | None = None) -> bool:
 
     The default tolerance is verification_tolerance of the larger order.
     """
+    check_tolerance(tolerance)
     if a.order != b.order:
         return False
     if tolerance is None:
         tolerance = verification_tolerance(max(a.order, b.order))
-    elif tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     return adjacency_spectrum(a).matches(adjacency_spectrum(b), tolerance)

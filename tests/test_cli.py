@@ -130,10 +130,6 @@ class TestEnergy:
         assert main(["energy", k3_file, "--method", "formula"]) == 2
         assert "--apply" in capsys.readouterr().err
 
-    def test_tol_must_be_positive(self, k3_file):
-        with pytest.raises(SystemExit):
-            main(["energy", k3_file, "--tol", "-1"])
-
 
 class TestSpectrum:
     def test_k3_values_and_multiplicities(self, k3_file, capsys):
@@ -285,16 +281,32 @@ class TestSweep:
         assert out == ""
         assert err == f"error: {message}\n"
 
-    def test_jobs_flag(self, capsys):
-        code, payload = run_json(
-            capsys, ["sweep", "C5_5", "c=1..2", "k=2..3", "--jobs", "2",
-                     "--method", "formula"]
-        )
-        assert code == 1  # off-manifold points fail (k != 2c)
-        assert len(payload) == 4
+    def test_jobs_flag_is_a_usage_error(self, capsys):
+        # sweeps run serially; there is no worker count to set
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "C5_5", "c=1..2", "k=2..3", "--jobs", "2"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --jobs 2" in err
 
 
 class TestParser:
+    # an infinite --tol passed a failing negative control; NaN failed in JSON
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "C5_4", "p=1", "q=3", "--table"],
+        ["sweep", "C5_4", "p=1", "q=2..3"],
+        ["energy", "{k3}", "--apply", "split:2,1"],
+    ], ids=["verify", "sweep", "energy"])
+    def test_tol_must_be_positive_and_finite(self, capsys, k3_file, argv, tol):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(k3=k3_file) for a in argv] + ["--tol", tol])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: --tol: tolerance must be positive and finite" in err
+
     def test_one_parser_serves_every_call(self, capsys):
         build_parser.cache_clear()
         try:

@@ -159,7 +159,7 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
     out = [(" ".join(argv), argv, None) for argv in cases]
     for point, cap in SWEEP_POINTS:
         for extra in ([], ["--table"]):
-            argv = ["sweep", *point, *extra, "--jobs", "1"]
+            argv = ["sweep", *point, *extra]
             out.append((" ".join(argv) + (f" [cap {cap}]" if cap else ""), argv, cap))
     argv = ["sweep", "C5_5", "c=1..2", "k=2,4", "--method", "formula"]
     out.append((" ".join(argv), argv, None))

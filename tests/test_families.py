@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -20,8 +21,6 @@ from graphenergy import (
     split_energy_factor,
     sweep,
     verify,
-    verify_borderenergetic,
-    verify_equienergetic,
 )
 from graphenergy import families, jsonio
 from graphenergy.families import FAMILIES, get_family
@@ -107,7 +106,7 @@ class TestDomains:
 
 class TestEquienergeticVerification:
     def test_c5_2_worked_example(self):
-        report = verify_equienergetic(spec("C5_2", t=1, m=1, k=1))
+        report = verify(spec("C5_2", t=1, m=1, k=1))
         assert report.passed
         assert [m.order for m in report.members] == [52, 52]
         for m in report.members:
@@ -115,13 +114,13 @@ class TestEquienergeticVerification:
             assert m.measured_energy == pytest.approx(72.0, abs=1e-8)
 
     def test_c5_2_negative_unit(self):
-        report = verify_equienergetic(spec("C5_2", t=1, m=1, k=-1))
+        report = verify(spec("C5_2", t=1, m=1, k=-1))
         assert report.passed
         # derived pairs (6,1) and (4,3) share the factor 10
         assert report.members[0].predicted_energy == pytest.approx(40.0, abs=1e-8)
 
     def test_c5_3_worked_example(self):
-        report = verify_equienergetic(spec("C5_3", base=complete_graph(3), m=2, t=1))
+        report = verify(spec("C5_3", base=complete_graph(3), m=2, t=1))
         assert report.passed
         expected = math.sqrt(45) * 4
         for m in report.members:
@@ -129,31 +128,25 @@ class TestEquienergeticVerification:
 
     def test_c5_4_on_manifold(self):
         for p in (1, 2, 3):
-            report = verify_equienergetic(spec("C5_4", p=p, q=4 * p - 2))
+            report = verify(spec("C5_4", p=p, q=4 * p - 2))
             assert report.passed
             assert report.members[0].predicted_energy == pytest.approx(
                 (5 * p - 2) * 4.0, abs=1e-8
             )
 
     def test_c5_6_worked_example(self):
-        report = verify_equienergetic(spec("C5_6"))
+        report = verify(spec("C5_6"))
         assert report.passed
         assert [m.order for m in report.members] == [12, 12]
         for m in report.members:
             assert m.measured_energy == pytest.approx(16.0, abs=1e-8)
 
     def test_c5_9_all_four_members(self):
-        report = verify_equienergetic(spec("C5_9", t=1))
+        report = verify(spec("C5_9", t=1))
         assert report.passed
         assert len(report.members) == 4
         for m in report.members:
             assert m.measured_energy == pytest.approx(72.0, abs=1e-8)
-
-    def test_verify_kind_guards(self):
-        with pytest.raises(ValueError, match="not an equienergetic"):
-            verify_equienergetic(spec("C6_1", k=1))
-        with pytest.raises(ValueError, match="not a borderenergetic"):
-            verify_borderenergetic(spec("C5_6"))
 
 
 class TestNegativeControls:
@@ -181,7 +174,7 @@ class TestBorderenergeticVerification:
          (3, (21, 111), (40.0, 220.0))],
     )
     def test_c6_1(self, k, orders, energies):
-        report = verify_borderenergetic(spec("C6_1", k=k), tolerance=1e-8)
+        report = verify(spec("C6_1", k=k), tolerance=1e-8)
         assert report.passed
         assert tuple(m.order for m in report.members) == orders
         for member, expected in zip(report.members, energies):
@@ -191,14 +184,14 @@ class TestBorderenergeticVerification:
 
     @pytest.mark.parametrize("t,order,expected", [(1, 49, 96.0), (2, 190, 378.0)])
     def test_c6_2(self, t, order, expected):
-        report = verify_borderenergetic(spec("C6_2", t=t), tolerance=1e-8)
+        report = verify(spec("C6_2", t=t), tolerance=1e-8)
         assert report.passed
         member = report.members[0]
         assert member.order == order
         assert member.measured_energy == pytest.approx(expected, abs=1e-8)
 
     def test_c6_3_t1(self):
-        report = verify_borderenergetic(spec("C6_3", t=1), tolerance=1e-8)
+        report = verify(spec("C6_3", t=1), tolerance=1e-8)
         assert report.passed
         assert report.members[0].order == 105
         assert report.members[0].measured_energy == pytest.approx(208.0, abs=1e-8)
@@ -335,28 +328,19 @@ class TestSweep:
         reports = sweep("C5_4", {"p": [1, 2], "q": [3, 7]}, method="formula")
         assert [r.verdict for r in reports] == ["fail", "fail", "fail", "fail"]
 
-    def test_parallel_matches_serial(self):
-        serial = sweep("C5_5", {"c": [1, 2], "k": [2, 4]}, jobs=1)
-        parallel = sweep("C5_5", {"c": [1, 2], "k": [2, 4]}, jobs=4)
-        assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
+    def test_points_run_on_the_callers_thread_in_grid_order(self, monkeypatch):
+        calls = []
+        real = families.verify
 
-    def test_default_jobs_are_the_cpus_this_process_may_use(self, monkeypatch):
-        workers = []
+        def recording_verify(spec, **kwargs):
+            calls.append((threading.get_ident(), dict(spec.parameters)))
+            return real(spec, **kwargs)
 
-        class RecordingPool(families.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(families, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(families.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(families.os, "sched_getaffinity", lambda pid: {0, 5, 6}, raising=False)
-        sweep("C6_1", {"k": [1, 2]}, method="formula")
-        monkeypatch.delattr(families.os, "sched_getaffinity", raising=False)
-        sweep("C6_1", {"k": [1, 2]}, method="formula")
-        monkeypatch.setattr(families.os, "cpu_count", lambda: None)
-        assert [r.verdict for r in sweep("C6_1", {"k": [1, 2]}, method="formula")] == ["pass"] * 2
-        assert workers == [3, 8]
+        monkeypatch.setattr(families, "verify", recording_verify)
+        reports = sweep("C5_5", {"c": [1, 2], "k": [2, 4]}, method="formula", jobs=4)
+        grid = [{"c": 1, "k": 2}, {"c": 1, "k": 4}, {"c": 2, "k": 2}, {"c": 2, "k": 4}]
+        assert calls == [(threading.get_ident(), point) for point in grid]
+        assert [r.parameters for r in reports] == grid
 
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError, match="empty range"):
@@ -393,7 +377,7 @@ class TestSweep:
 
     def test_points_over_the_order_cap_are_skipped(self, monkeypatch):
         monkeypatch.setenv(MAX_ORDER_ENV_VAR, "60")  # C6_1 members: 9, 51 | 15, 81
-        reports = sweep("C6_1", {"k": [1, 2]}, method="oracle", jobs=1)
+        reports = sweep("C6_1", {"k": [1, 2]}, method="oracle")
         assert [r.verdict for r in reports] == ["pass", "skipped"]
         assert "dense cap" in reports[1].error
 
@@ -419,16 +403,35 @@ class TestSweepErrors:
         np.linalg.LinAlgError("Eigenvalues did not converge"),
         RuntimeError("solver crashed"),
     ], ids=["LinAlgError", "RuntimeError"])
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_failing_point_is_an_error(self, monkeypatch, exc, jobs):
+    def test_failing_point_is_an_error(self, monkeypatch, exc):
         failing_eigensolver(monkeypatch, 21, exc)  # C6_1 k=3 builds order 21
-        reports = sweep("C6_1", {"k": [1, 2, 3, 4]}, method="oracle", jobs=jobs)
+        reports = sweep("C6_1", {"k": [1, 2, 3, 4]}, method="oracle")
         assert [r.verdict for r in reports] == ["pass", "pass", "error", "pass"]
         error = reports[2]
         assert error.error == f"{type(exc).__name__}: {exc}"
         assert error.members == [] and error.tolerance is None
         assert not error.passed
         assert "ERROR" in error.to_table()
+
+
+class TestToleranceValidation:
+    """An infinite tolerance would pass every comparison and NaN would pass
+    none, so both are refused, as a non-positive one is."""
+
+    BAD = [float("inf"), float("nan"), 0.0, -1.0]
+
+    @pytest.mark.parametrize("tolerance", BAD, ids=str)
+    def test_verify_refuses(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            verify(spec("C5_4", p=1, q=3), tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", BAD, ids=str)
+    def test_sweep_refuses_before_any_point(self, monkeypatch, tolerance):
+        points = []
+        monkeypatch.setattr(families, "verify", lambda spec, **kwargs: points.append(spec))
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            sweep("C5_4", {"p": [1], "q": [2, 3]}, tolerance=tolerance)
+        assert points == []
 
 
 class TestReportSerialization:

@@ -244,10 +244,11 @@ class TestCospectral:
     def test_different_orders(self):
         assert not are_cospectral(complete_graph(3), complete_graph(4))
 
-    def test_rejects_bad_tolerance(self):
+    @pytest.mark.parametrize("tolerance", [-1.0, 0.0, float("inf"), float("nan")], ids=str)
+    def test_rejects_bad_tolerance(self, tolerance):
         g = complete_graph(3)
-        with pytest.raises(ValueError):
-            are_cospectral(g, g, tolerance=-1.0)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            are_cospectral(g, g, tolerance=tolerance)
 
 
 def test_verification_tolerance_floor_and_scaling():
