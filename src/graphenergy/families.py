@@ -540,10 +540,10 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
     non-convergence, yields an "error" report that names it.
 
     Points run serially on the caller's thread, in grid order: a thread pool
-    lost to the serial loop on the benchmark's sweep-grid workload in 5 of 5
-    paired runs on 2 CPUs, because each point is mostly Python that holds
-    the interpreter lock. `jobs` is ignored and kept only for callers that
-    still pass it.
+    lost to the serial loop in 10 of 10 alternating 30 s pairs of
+    `bench/run.py` on sweep-grid (2 CPUs, see CHANGES.md), because each
+    point is mostly Python that holds the interpreter lock. `jobs` is
+    ignored and kept only for callers that still pass it.
     """
     _check_method(method)
     check_tolerance(tolerance)

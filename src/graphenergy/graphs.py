@@ -229,18 +229,11 @@ def star_graph(n: int) -> Graph:
     return complete_bipartite(1, n)
 
 
-# random_graph draws its n x n floats in blocks of whole rows, about this many
-RANDOM_BLOCK_FLOATS = 1 << 18
-
-
 def random_graph(n: int, edge_probability: float = 0.5, seed=None) -> Graph:
     """Uniform random simple graph: each pair independently adjacent.
 
     `seed` may be an int or a numpy Generator; pass a fixed value for
-    reproducible output. Vertices i < j are adjacent when entry (i, j) of
-    one n x n `rng.random` draw is below `edge_probability`. The draw is
-    taken in blocks of rows from the same stream, so no n x n float array
-    is ever held.
+    reproducible output.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -248,12 +241,8 @@ def random_graph(n: int, edge_probability: float = 0.5, seed=None) -> Graph:
         raise ValueError("edge_probability must be in [0, 1]")
     check_order(n)
     rng = np.random.default_rng(seed)
-    a = np.zeros((n, n), dtype=bool)
-    rows = max(1, RANDOM_BLOCK_FLOATS // n)
-    for r0 in range(0, n, rows):
-        block = rng.random((min(rows, n - r0), n)) < edge_probability
-        a[r0 : r0 + rows] = np.triu(block, k=r0 + 1)
-    a |= a.T
+    upper = np.triu(rng.random((n, n)) < edge_probability, k=1)
+    a = (upper | upper.T).astype(np.uint8)
     return Graph(a)
 
 

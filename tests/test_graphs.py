@@ -1,9 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from graphenergy import graphs
 from graphenergy import (
     Graph,
     adjacency_spectrum,
@@ -21,12 +18,6 @@ from graphenergy import (
 from graphenergy.graphs import MAX_ORDER_ENV_VAR, OrderCapError, check_order, max_order
 
 from conftest import random_graphs
-
-
-def reference_random_adjacency(n: int, p: float, rng) -> np.ndarray:
-    """`random_graph`'s matrix drawn as one n x n float array."""
-    upper = np.triu(np.random.default_rng(rng).random((n, n)) < p, k=1)
-    return (upper | upper.T).astype(np.uint8)
 
 
 def assert_valid(g: Graph):
@@ -110,34 +101,6 @@ class TestGenerators:
 
     def test_random_graph_reproducible(self):
         assert random_graph(10, 0.5, seed=3) == random_graph(10, 0.5, seed=3)
-
-    # (n, RANDOM_BLOCK_FLOATS or None for the default): one row, a partial
-    # last block, blocks that tile n exactly, one-row blocks, and at the
-    # default 2**18 floats one whole block (512) or a 2-row last block (513)
-    @pytest.mark.parametrize("n,block_floats", [
-        (1, None), (2, 64), (9, 64), (16, 64), (64, 64), (65, 64), (512, None), (513, None),
-    ])
-    @pytest.mark.parametrize("p,seed", [(0.5, 0), (0.3, 7), (1.0, 11)])
-    def test_random_graph_matches_one_square_draw(self, monkeypatch, n, block_floats, p, seed):
-        if block_floats is not None:
-            monkeypatch.setattr(graphs, "RANDOM_BLOCK_FLOATS", block_floats)
-        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = random_graph(n, p, seed=rng).adjacency
-        assert got.dtype == np.uint8
-        assert got.tobytes() == reference_random_adjacency(n, p, reference_rng).tobytes()
-        assert rng.random() == reference_rng.random()  # the same draws were consumed
-
-    def test_random_graph_holds_no_square_float_draw(self):
-        # the single n x n float64 draw took 9 bytes per entry at its peak
-        n = 2000
-        random_graph(8, 0.5, seed=0)
-        tracemalloc.start()
-        try:
-            random_graph(n, 0.5, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * n * n
 
     def test_generators_all_valid(self):
         for g in [complete_graph(5), complete_bipartite(3, 4), cycle_graph(6),
