@@ -16,7 +16,7 @@ from .families import (
     sweep,
     verify,
 )
-from .formulas import known_energy, quotient_matrix_spectrum
+from .formulas import known_energy
 from .graphs import (
     Graph,
     OrderCapError,
@@ -45,25 +45,19 @@ from .operators import (
     OPERATORS,
     CoefficientMatrix,
     Operator,
-    ShadowSplitParams,
-    SplitParams,
     coefficient_matrix_shadow,
     coefficient_matrix_split,
-    construct_by_neighborhood,
     generalized_splitting,
     kronecker_product,
     m_shadow,
     m_splitting,
-    shadow_coefficient_spectrum,
     shadow_split_energy_factor,
     shadow_splitting,
-    split_coefficient_spectrum,
     split_energy_factor,
 )
 from .spectral import (
     Spectrum,
     adjacency_spectrum,
-    are_cospectral,
     eigenvalues_symmetric,
     energy,
     structured_spectrum,
@@ -80,18 +74,14 @@ __all__ = [
     "Operator",
     "OrderCapError",
     "OutOfDomainError",
-    "ShadowSplitParams",
     "Spectrum",
-    "SplitParams",
     "VerificationReport",
     "adjacency_spectrum",
-    "are_cospectral",
     "canonical_equienergetic_pair",
     "coefficient_matrix_shadow",
     "coefficient_matrix_split",
     "complete_bipartite",
     "complete_graph",
-    "construct_by_neighborhood",
     "cycle_graph",
     "decode_graph6",
     "disjoint_union",
@@ -109,15 +99,12 @@ __all__ = [
     "m_splitting",
     "max_order",
     "path_graph",
-    "quotient_matrix_spectrum",
     "random_graph",
     "read_edge_list",
     "read_graph_text",
     "read_matrix_market",
-    "shadow_coefficient_spectrum",
     "shadow_split_energy_factor",
     "shadow_splitting",
-    "split_coefficient_spectrum",
     "split_energy_factor",
     "star_graph",
     "structured_spectrum",

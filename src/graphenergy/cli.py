@@ -221,11 +221,14 @@ def cmd_energy(args) -> int:
     return 0 if within is not False else 1
 
 
-def _spectrum_dict(values: np.ndarray, merge_tolerance: float) -> dict:
-    spectrum = Spectrum(values, merge_tolerance)
+def _spectrum_dict(spectrum: Spectrum, tolerance: float) -> dict:
+    # Sorting the sorted values once more is not a no-op: numpy's sort is not
+    # stable, so it can reorder ties of 0.0 and -0.0, and the recorded
+    # outputs of the spectrum command pin the order it leaves.
+    spectrum = Spectrum(spectrum.values)
     return {
         "values": [float(v) for v in spectrum.values],
-        "multiplicities": [[value, count] for value, count in spectrum.multiplicities()],
+        "multiplicities": [[value, count] for value, count in spectrum.multiplicities(tolerance)],
     }
 
 
@@ -236,10 +239,10 @@ def cmd_spectrum(args) -> int:
 
     oracle = formula = max_delta = None
     within = None
-    oracle_values = None
+    oracle_spectrum = None
     if args.method in ("oracle", "both"):
-        oracle_values = adjacency_spectrum(g).values
-        oracle = _spectrum_dict(oracle_values, tol)
+        oracle_spectrum = adjacency_spectrum(g)
+        oracle = _spectrum_dict(oracle_spectrum, tol)
     if args.method in ("formula", "both"):
         if op is None:
             raise ValueError(
@@ -248,9 +251,9 @@ def cmd_spectrum(args) -> int:
             )
         structured = structured_spectrum(op.coefficient_spectrum(*op_args),
                                          adjacency_spectrum(base))
-        formula = _spectrum_dict(structured.values, tol)
-        if oracle_values is not None:
-            max_delta = float(np.max(np.abs(structured.values - oracle_values)))
+        formula = _spectrum_dict(structured, tol)
+        if oracle_spectrum is not None:
+            max_delta = float(np.max(np.abs(structured.values - oracle_spectrum.values)))
             within = max_delta <= tol
 
     report = {

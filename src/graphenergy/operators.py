@@ -9,10 +9,6 @@ once: its name, parameters, coefficient matrix and side, the closed-form
 spectrum of C and the energy factor E(C) as the paper states it. The command
 line, the family catalog and the formulas all read that table.
 
-The same graphs can be built directly from the vertex-neighborhood rules;
-`construct_by_neighborhood` provides that independent route so the two can be
-cross-checked entrywise.
-
 Vertex layout is fixed: all copies of the base graph first, then the
 splitting-vertex sets, with base vertex order preserved inside every block.
 """
@@ -27,39 +23,14 @@ import numpy as np
 
 from .formulas import known_energy
 from .graphs import Graph, check_order, complete_bipartite, complete_graph, symmetric_zero_one
-from .spectral import MERGE_TOLERANCE, Spectrum
+from .spectral import Spectrum
 
 
-@dataclass(frozen=True)
-class SplitParams:
-    """Parameters of the generalized splitting operator.
-
-    p: number of disjoint copies of the base graph.
-    q: number of splitting-vertex sets wired across all copies.
-    """
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"splitting parameters must be >= 1, got p={self.p}, q={self.q}")
-
-
-@dataclass(frozen=True)
-class ShadowSplitParams:
-    """Parameters of the shadow-splitting operator.
-
-    c: number of mutually shadowed copies of the base graph.
-    k: number of splitting-vertex sets attached to all copies.
-    """
-
-    c: int
-    k: int
-
-    def __post_init__(self):
-        if self.c < 1 or self.k < 1:
-            raise ValueError(f"shadow-splitting parameters must be >= 1, got c={self.c}, k={self.k}")
+def _check_parameters(operator: str, **params: int) -> None:
+    """Raise ValueError unless every parameter of the operator is >= 1."""
+    if min(params.values()) < 1:
+        named = ", ".join(f"{name}={value}" for name, value in params.items())
+        raise ValueError(f"{operator} parameters must be >= 1, got {named}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +58,7 @@ class CoefficientMatrix:
 
 def coefficient_matrix_split(p: int, q: int) -> CoefficientMatrix:
     """Block matrix [[I_p, J], [J, 0_q]] of the generalized splitting operator."""
-    SplitParams(p, q)
+    _check_parameters("splitting", p=p, q=q)
     m = np.ones((p + q, p + q), dtype=np.uint8)
     m[:p, :p] = np.eye(p, dtype=np.uint8)
     m[p:, p:] = 0
@@ -96,7 +67,7 @@ def coefficient_matrix_split(p: int, q: int) -> CoefficientMatrix:
 
 def coefficient_matrix_shadow(c: int, k: int) -> CoefficientMatrix:
     """Block matrix [[J_c, J], [J, 0_k]] of the shadow-splitting operator."""
-    ShadowSplitParams(c, k)
+    _check_parameters("shadow-splitting", c=c, k=k)
     m = np.ones((c + k, c + k), dtype=np.uint8)
     m[c:, c:] = 0
     return CoefficientMatrix(m)
@@ -155,19 +126,19 @@ def kronecker_product(g: Graph, h: Graph) -> Graph:
 
 def split_energy_factor(p: int, q: int) -> float:
     """Energy multiplier of the generalized splitting operator: p - 1 + sqrt(1 + 4pq)."""
-    SplitParams(p, q)
+    _check_parameters("splitting", p=p, q=q)
     return p - 1 + math.sqrt(1 + 4 * p * q)
 
 
 def shadow_split_energy_factor(c: int, k: int) -> float:
     """Energy multiplier of the shadow-splitting operator: sqrt(c^2 + 4ck)."""
-    ShadowSplitParams(c, k)
+    _check_parameters("shadow-splitting", c=c, k=k)
     return math.sqrt(c * c + 4 * c * k)
 
 
 def _split_eigenvalues(p: int, q: int) -> tuple[tuple[float, int], ...]:
     """1 with multiplicity p-1, 0 with multiplicity q-1, and (1 +- sqrt(1 + 4pq)) / 2."""
-    SplitParams(p, q)
+    _check_parameters("splitting", p=p, q=q)
     root = math.sqrt(1 + 4 * p * q)
     return (1.0, p - 1), (0.0, q - 1), ((1 + root) / 2, 1), ((1 - root) / 2, 1)
 
@@ -175,7 +146,7 @@ def _split_eigenvalues(p: int, q: int) -> tuple[tuple[float, int], ...]:
 def _shadow_split_eigenvalues(c: int, k: int) -> tuple[tuple[float, int], ...]:
     """The matrix has rank 2: c + k - 2 zero eigenvalues plus the two roots
     (c +- sqrt(c^2 + 4ck)) / 2 of its quotient."""
-    ShadowSplitParams(c, k)
+    _check_parameters("shadow-splitting", c=c, k=k)
     root = math.sqrt(c * c + 4 * c * k)
     return (0.0, c + k - 2), ((c + root) / 2, 1), ((c - root) / 2, 1)
 
@@ -214,10 +185,9 @@ class Operator:
         """Order of C, so the operator graph has dimension * base order vertices."""
         return sum(count for _, count in self.eigenvalues(*args))
 
-    def coefficient_spectrum(self, *args: int,
-                             merge_tolerance: float = MERGE_TOLERANCE) -> Spectrum:
+    def coefficient_spectrum(self, *args: int) -> Spectrum:
         values, counts = zip(*self.eigenvalues(*args))
-        return Spectrum(np.repeat(values, counts), merge_tolerance)
+        return Spectrum(np.repeat(values, counts))
 
     def label_for(self, args: tuple[int, ...]) -> str:
         return self.label.format(**dict(zip(self.params, args)))
@@ -280,61 +250,3 @@ OPERATORS: dict[str, Operator] = {op.name: op for op in (
         member="kron of complete-bipartite({r},{r}) with {base}",
     ),
 )}
-
-
-def split_coefficient_spectrum(p: int, q: int,
-                               merge_tolerance: float = MERGE_TOLERANCE) -> Spectrum:
-    """Closed-form spectrum of the splitting coefficient matrix [[I_p, J], [J, 0_q]]."""
-    return OPERATORS["split"].coefficient_spectrum(p, q, merge_tolerance=merge_tolerance)
-
-
-def shadow_coefficient_spectrum(c: int, k: int,
-                                merge_tolerance: float = MERGE_TOLERANCE) -> Spectrum:
-    """Closed-form spectrum of the shadow-splitting coefficient matrix [[J_c, J], [J, 0_k]]."""
-    return OPERATORS["shadow-split"].coefficient_spectrum(c, k, merge_tolerance=merge_tolerance)
-
-
-def construct_by_neighborhood(g: Graph, params: SplitParams | ShadowSplitParams) -> Graph:
-    """Build an operator graph edge-by-edge from its neighborhood rules.
-
-    This intentionally avoids the Kronecker product: it wires every edge from
-    the definitions, using the same vertex layout (copies first, then
-    splitting sets, base order within blocks). The result must equal the
-    coefficient-matrix route entrywise; the redundancy exists to catch
-    index-convention bugs the energy formulas cannot see.
-    """
-    if isinstance(params, SplitParams):
-        copies, splits, shadowed = params.p, params.q, False
-    elif isinstance(params, ShadowSplitParams):
-        copies, splits, shadowed = params.c, params.k, True
-    else:
-        raise TypeError(f"unsupported parameter object {params!r}")
-
-    n = g.order
-    total = (copies + splits) * n
-    check_order(total, "operator graph")
-    a = np.zeros((total, total), dtype=np.uint8)
-
-    def copy_vertex(block: int, i: int) -> int:
-        return block * n + i
-
-    def split_vertex(block: int, i: int) -> int:
-        return (copies + block) * n + i
-
-    for i in range(n):
-        for j in g.neighbors(i):
-            # Copies keep their own edges; shadowed copies also link across
-            # all pairs of copies (including back into their own copy).
-            for a_block in range(copies):
-                if shadowed:
-                    for b_block in range(copies):
-                        a[copy_vertex(a_block, i), copy_vertex(b_block, j)] = 1
-                else:
-                    a[copy_vertex(a_block, i), copy_vertex(a_block, j)] = 1
-            # Splitting vertex u_i adjoins the neighbors of v_i in every copy.
-            for s_block in range(splits):
-                for c_block in range(copies):
-                    a[split_vertex(s_block, i), copy_vertex(c_block, j)] = 1
-                    a[copy_vertex(c_block, j), split_vertex(s_block, i)] = 1
-
-    return Graph(np.maximum(a, a.T))

@@ -1,4 +1,4 @@
-"""Dense symmetric spectra, graph energy, and cospectrality tests.
+"""Dense symmetric spectra and graph energy.
 
 The eigensolver delegates to LAPACK (numpy.linalg.eigvalsh). Energy is the
 sum of absolute adjacency eigenvalues.
@@ -19,7 +19,6 @@ import numpy as np
 from .graphs import Graph
 
 SYMMETRY_TOLERANCE = 1e-12
-MERGE_TOLERANCE = 1e-7
 
 
 def verification_tolerance(order: int) -> float:
@@ -43,20 +42,16 @@ def check_tolerance(tolerance: float | None) -> None:
 class Spectrum:
     """Real eigenvalues sorted in descending order.
 
-    `merge_tolerance` controls how close two values must be to count as one
-    eigenvalue when reporting multiplicities; the raw values are kept so that
-    merging never changes energy sums.
+    The raw values are kept: `multiplicities` merges close values only in
+    what it reports, so merging never changes energy sums.
     """
 
     values: np.ndarray
-    merge_tolerance: float = MERGE_TOLERANCE
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("spectrum needs a nonempty 1-d value array")
-        if self.merge_tolerance <= 0:
-            raise ValueError("merge_tolerance must be positive")
         v = np.sort(v)[::-1].copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -68,14 +63,17 @@ class Spectrum:
         """Sum of absolute eigenvalues."""
         return float(np.abs(self.values).sum())
 
-    def multiplicities(self) -> list[tuple[float, int]]:
-        """Eigenvalues coalesced within merge_tolerance, with counts."""
+    def multiplicities(self, tolerance: float) -> list[tuple[float, int]]:
+        """Eigenvalues coalesced with counts: a value joins the current group
+        while it is within `tolerance` (positive and finite) of the group's
+        first value."""
+        check_tolerance(tolerance)
         groups: list[tuple[float, int]] = []
         head = float(self.values[0])
         count = 0
         for v in self.values:
             v = float(v)
-            if abs(v - head) <= self.merge_tolerance:
+            if abs(v - head) <= tolerance:
                 count += 1
             else:
                 groups.append((head, count))
@@ -103,7 +101,7 @@ def _check_square_symmetric(matrix) -> np.ndarray:
     return a
 
 
-def eigenvalues_symmetric(matrix, merge_tolerance: float = MERGE_TOLERANCE) -> Spectrum:
+def eigenvalues_symmetric(matrix) -> Spectrum:
     """All eigenvalues of a real symmetric matrix, or of a Graph's adjacency
     matrix, sorted descending.
 
@@ -117,12 +115,12 @@ def eigenvalues_symmetric(matrix, merge_tolerance: float = MERGE_TOLERANCE) -> S
     else:
         a = _check_square_symmetric(matrix)
     values = np.linalg.eigvalsh(a)
-    return Spectrum(values[::-1], merge_tolerance)
+    return Spectrum(values[::-1])
 
 
-def adjacency_spectrum(g: Graph, merge_tolerance: float = MERGE_TOLERANCE) -> Spectrum:
+def adjacency_spectrum(g: Graph) -> Spectrum:
     """Spectrum of the adjacency matrix of g."""
-    return eigenvalues_symmetric(g, merge_tolerance)
+    return eigenvalues_symmetric(g)
 
 
 def energy(g: Graph) -> float:
@@ -133,33 +131,8 @@ def energy(g: Graph) -> float:
     return adjacency_spectrum(g).energy()
 
 
-def structured_spectrum(coefficients, base: Spectrum) -> Spectrum:
-    """Spectrum of a Kronecker product from its factor spectra.
-
-    `coefficients` may be a CoefficientMatrix (eigensolved directly), a
-    Spectrum, or a plain array of eigenvalues; the result is the multiset of
-    all pairwise products with `base`, sorted descending.
-    """
-    if isinstance(coefficients, Spectrum):
-        mu = coefficients.values
-    elif hasattr(coefficients, "entries"):
-        mu = eigenvalues_symmetric(coefficients.entries).values
-    else:
-        mu = np.asarray(coefficients, dtype=np.float64)
-        if mu.ndim == 2:
-            mu = eigenvalues_symmetric(mu).values
-    products = np.multiply.outer(mu, base.values).ravel()
-    return Spectrum(products, base.merge_tolerance)
-
-
-def are_cospectral(a: Graph, b: Graph, tolerance: float | None = None) -> bool:
-    """True iff both graphs have the same order and elementwise-equal spectra.
-
-    The default tolerance is verification_tolerance of the larger order.
-    """
-    check_tolerance(tolerance)
-    if a.order != b.order:
-        return False
-    if tolerance is None:
-        tolerance = verification_tolerance(max(a.order, b.order))
-    return adjacency_spectrum(a).matches(adjacency_spectrum(b), tolerance)
+def structured_spectrum(coefficients: Spectrum, base: Spectrum) -> Spectrum:
+    """Spectrum of a Kronecker product from its factor spectra: the multiset
+    of all pairwise products, sorted descending."""
+    products = np.multiply.outer(coefficients.values, base.values).ravel()
+    return Spectrum(products)

@@ -1,0 +1,73 @@
+"""Spectral test oracles that the library itself does not need.
+
+- `quotient_matrix` / `quotient_matrix_spectrum`: the quotient of a matrix
+  under an equitable partition, whose eigenvalues are a subset of the full
+  spectrum. The formula tests hold the closed-form coefficient spectra to it.
+- `are_cospectral`: whether two graphs have elementwise-equal spectra, as in
+  the check that equienergetic members need not be cospectral.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from graphenergy import Graph, Spectrum, adjacency_spectrum, verification_tolerance
+from graphenergy.spectral import check_tolerance
+
+
+def quotient_matrix(matrix, partition) -> np.ndarray:
+    """Quotient of a matrix under an equitable partition.
+
+    `partition` is a list of index blocks covering every row exactly once.
+    The partition is equitable when, within each block pair, every row of the
+    block has the same sum; those common sums form the quotient. Row sums
+    must match exactly (the matrices used here are integral), otherwise a
+    ValueError is raised naming the offending block pair.
+    """
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("quotient needs a square matrix")
+    blocks = [list(b) for b in partition]
+    flat = sorted(i for b in blocks for i in b)
+    if flat != list(range(m.shape[0])):
+        raise ValueError("partition must cover every index exactly once")
+    k = len(blocks)
+    q = np.empty((k, k), dtype=np.float64)
+    for bi, rows in enumerate(blocks):
+        for bj, cols in enumerate(blocks):
+            sums = m[np.ix_(rows, cols)].sum(axis=1)
+            if np.any(sums != sums[0]):
+                raise ValueError(
+                    f"partition is not equitable: block pair ({bi}, {bj}) has "
+                    f"row sums {sorted(set(sums.tolist()))}"
+                )
+            q[bi, bj] = sums[0]
+    return q
+
+
+def quotient_matrix_spectrum(matrix, partition) -> Spectrum:
+    """Spectrum of the quotient under an equitable partition.
+
+    Every returned eigenvalue also appears in the full spectrum of `matrix`.
+    The quotient is generally not symmetric, but for an equitable partition
+    of a symmetric matrix its eigenvalues are real.
+    """
+    q = quotient_matrix(matrix, partition)
+    values = np.linalg.eigvals(q)
+    imag_bound = 1e-9 * (1.0 + np.linalg.norm(q))
+    if np.max(np.abs(values.imag), initial=0.0) > imag_bound:
+        raise ValueError("quotient spectrum is not real; input was not symmetric-equitable")
+    return Spectrum(values.real)
+
+
+def are_cospectral(a: Graph, b: Graph, tolerance: float | None = None) -> bool:
+    """True iff both graphs have the same order and elementwise-equal spectra.
+
+    The default tolerance is verification_tolerance of the larger order.
+    """
+    check_tolerance(tolerance)
+    if a.order != b.order:
+        return False
+    if tolerance is None:
+        tolerance = verification_tolerance(max(a.order, b.order))
+    return adjacency_spectrum(a).matches(adjacency_spectrum(b), tolerance)

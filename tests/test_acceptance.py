@@ -14,15 +14,13 @@ import numpy as np
 import pytest
 
 from graphenergy import (
+    OPERATORS,
     FamilySpec,
-    ShadowSplitParams,
-    SplitParams,
     adjacency_spectrum,
     coefficient_matrix_shadow,
     coefficient_matrix_split,
     complete_bipartite,
     complete_graph,
-    construct_by_neighborhood,
     cycle_graph,
     decode_graph6,
     eigenvalues_symmetric,
@@ -33,15 +31,15 @@ from graphenergy import (
     m_shadow,
     path_graph,
     random_graph,
-    shadow_coefficient_spectrum,
     shadow_split_energy_factor,
     shadow_splitting,
-    split_coefficient_spectrum,
     split_energy_factor,
     verification_tolerance,
     verify,
 )
 from graphenergy.cli import main as cli_main
+
+from neighborhood_reference import ShadowSplitParams, SplitParams, construct_by_neighborhood
 
 PARAM_RANGE = range(1, 5)  # operator parameters 1..4 for criteria 1-2
 
@@ -165,7 +163,7 @@ def test_criterion_2_shadow_split_energy(bases, base_energies, shadow_grid):
 @criterion(3, "coefficient spectra closed form vs eigensolve")
 def test_criterion_3_coefficient_spectra():
     for a, b in itertools.product(range(1, 7), repeat=2):
-        closed = split_coefficient_spectrum(a, b)
+        closed = OPERATORS["split"].coefficient_spectrum(a, b)
         direct = eigenvalues_symmetric(coefficient_matrix_split(a, b).entries)
         assert closed.matches(direct, 1e-10), ("split", a, b)
         # the rational roots (1 +- sqrt(1+4pq))/2 never collide with 1 or 0,
@@ -175,7 +173,7 @@ def test_criterion_3_coefficient_spectra():
         assert ones == a - 1
         assert zeros == b - 1
 
-        closed = shadow_coefficient_spectrum(a, b)
+        closed = OPERATORS["shadow-split"].coefficient_spectrum(a, b)
         direct = eigenvalues_symmetric(coefficient_matrix_shadow(a, b).entries)
         assert closed.matches(direct, 1e-10), ("shadow", a, b)
         zeros = sum(abs(v) <= 1e-7 for v in direct.values)

@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from graphenergy import (
-    construct_by_neighborhood,
     encode_graph6,
     generalized_splitting,
     instantiate_family,
@@ -29,6 +28,7 @@ from graphenergy import (
 )
 from graphenergy.cli import main
 
+from neighborhood_reference import construct_by_neighborhood
 from test_acceptance import PARAM_RANGE, _bases, _family_points, _random_instances
 
 GOLDEN = Path(__file__).with_name("codec_golden.json")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graphenergy import (
+    OPERATORS,
     coefficient_matrix_shadow,
     coefficient_matrix_split,
     cycle_graph,
@@ -13,16 +14,13 @@ from graphenergy import (
     generalized_splitting,
     known_energy,
     m_splitting,
-    quotient_matrix_spectrum,
-    shadow_coefficient_spectrum,
     shadow_split_energy_factor,
     shadow_splitting,
-    split_coefficient_spectrum,
     split_energy_factor,
 )
-from graphenergy.formulas import quotient_matrix
 
 from conftest import random_graphs
+from spectral_reference import quotient_matrix, quotient_matrix_spectrum
 
 PARAM_GRID = list(itertools.product(range(1, 6), repeat=2))
 
@@ -66,49 +64,49 @@ class TestEnergyFactors:
 
 class TestCoefficientSpectra:
     def test_split_1_1_closed_form(self):
-        values = split_coefficient_spectrum(1, 1).values
+        values = OPERATORS["split"].coefficient_spectrum(1, 1).values
         golden = (1 + math.sqrt(5)) / 2
         assert np.allclose(values, [golden, 1 - golden], atol=1e-12)
 
     def test_split_2_2_closed_form(self):
-        values = split_coefficient_spectrum(2, 2).values
+        values = OPERATORS["split"].coefficient_spectrum(2, 2).values
         r = math.sqrt(17)
         assert np.allclose(values, sorted([1.0, 0.0, (1 + r) / 2, (1 - r) / 2],
                                           reverse=True), atol=1e-12)
 
     def test_shadow_1_1_closed_form(self):
-        values = shadow_coefficient_spectrum(1, 1).values
+        values = OPERATORS["shadow-split"].coefficient_spectrum(1, 1).values
         golden = (1 + math.sqrt(5)) / 2
         assert np.allclose(values, [golden, 1 - golden], atol=1e-12)
 
     def test_shadow_2_2_closed_form(self):
-        values = shadow_coefficient_spectrum(2, 2).values
+        values = OPERATORS["shadow-split"].coefficient_spectrum(2, 2).values
         r = math.sqrt(5)
         assert np.allclose(values, sorted([0.0, 0.0, 1 + r, 1 - r], reverse=True),
                            atol=1e-12)
 
     @pytest.mark.parametrize("p,q", PARAM_GRID)
     def test_split_matches_direct_eigensolve(self, p, q):
-        closed = split_coefficient_spectrum(p, q)
+        closed = OPERATORS["split"].coefficient_spectrum(p, q)
         direct = eigenvalues_symmetric(coefficient_matrix_split(p, q).entries)
         assert closed.matches(direct, 1e-10)
 
     @pytest.mark.parametrize("c,k", PARAM_GRID)
     def test_shadow_matches_direct_eigensolve(self, c, k):
-        closed = shadow_coefficient_spectrum(c, k)
+        closed = OPERATORS["shadow-split"].coefficient_spectrum(c, k)
         direct = eigenvalues_symmetric(coefficient_matrix_shadow(c, k).entries)
         assert closed.matches(direct, 1e-10)
 
     @pytest.mark.parametrize("p,q", PARAM_GRID)
     def test_split_trace_frobenius_and_energy_sums(self, p, q):
-        values = split_coefficient_spectrum(p, q).values
+        values = OPERATORS["split"].coefficient_spectrum(p, q).values
         assert values.sum() == pytest.approx(p, abs=1e-12)
         assert (values ** 2).sum() == pytest.approx(p + 2 * p * q, abs=1e-12)
         assert np.abs(values).sum() == pytest.approx(split_energy_factor(p, q), abs=1e-12)
 
     @pytest.mark.parametrize("c,k", PARAM_GRID)
     def test_shadow_trace_frobenius_and_energy_sums(self, c, k):
-        values = shadow_coefficient_spectrum(c, k).values
+        values = OPERATORS["shadow-split"].coefficient_spectrum(c, k).values
         assert values.sum() == pytest.approx(c, abs=1e-12)
         assert (values ** 2).sum() == pytest.approx(c * c + 2 * c * k, abs=1e-12)
         assert np.abs(values).sum() == pytest.approx(
@@ -116,8 +114,8 @@ class TestCoefficientSpectra:
         )
 
     def test_multiplicity_counts(self):
-        assert split_coefficient_spectrum(4, 3).multiplicities()[1] == (1.0, 3)
-        groups = dict(shadow_coefficient_spectrum(3, 4).multiplicities())
+        assert OPERATORS["split"].coefficient_spectrum(4, 3).multiplicities(1e-7)[1] == (1.0, 3)
+        groups = dict(OPERATORS["shadow-split"].coefficient_spectrum(3, 4).multiplicities(1e-7))
         assert groups[0.0] == 5
 
 

@@ -16,10 +16,7 @@ import pytest
 
 from graphenergy import (
     OPERATORS,
-    ShadowSplitParams,
-    SplitParams,
     complete_graph,
-    construct_by_neighborhood,
     cycle_graph,
     disjoint_union,
     energy,
@@ -29,6 +26,7 @@ from graphenergy import (
 )
 
 from conftest import random_graphs
+from neighborhood_reference import ShadowSplitParams, SplitParams, construct_by_neighborhood
 
 # the paper's energy factor of each operator, as the paper writes it
 PAPER_FACTORS = {

@@ -7,12 +7,9 @@ import pytest
 from graphenergy import (
     CoefficientMatrix,
     OrderCapError,
-    ShadowSplitParams,
-    SplitParams,
     coefficient_matrix_shadow,
     coefficient_matrix_split,
     complete_graph,
-    construct_by_neighborhood,
     cycle_graph,
     energy,
     from_edges,
@@ -26,6 +23,7 @@ from graphenergy import (
 from graphenergy.graphs import MAX_ORDER_ENV_VAR
 
 from conftest import random_graphs
+from neighborhood_reference import ShadowSplitParams, SplitParams, construct_by_neighborhood
 
 
 class TestCoefficientMatrices:
@@ -59,10 +57,11 @@ class TestCoefficientMatrices:
         assert np.all(m[c:, c:] == 0)
 
     def test_params_validated(self):
-        with pytest.raises(ValueError):
-            SplitParams(0, 1)
-        with pytest.raises(ValueError):
-            ShadowSplitParams(1, 0)
+        with pytest.raises(ValueError, match=r"^splitting parameters must be >= 1, got p=0, q=1$"):
+            coefficient_matrix_split(0, 1)
+        with pytest.raises(ValueError,
+                           match=r"^shadow-splitting parameters must be >= 1, got c=1, k=0$"):
+            coefficient_matrix_shadow(1, 0)
         with pytest.raises(ValueError):
             coefficient_matrix_split(1, 0)
 

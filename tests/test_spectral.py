@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from graphenergy import (
+    OPERATORS,
     CoefficientMatrix,
     Spectrum,
     adjacency_spectrum,
-    are_cospectral,
     coefficient_matrix_split,
     complete_bipartite,
     complete_graph,
@@ -26,6 +26,7 @@ from graphenergy import (
 
 from conftest import random_graphs
 from jacobi_reference import jacobi_eigenvalues
+from spectral_reference import are_cospectral
 from test_codec_golden import acceptance_corpus
 
 
@@ -167,22 +168,23 @@ class TestSpectrumType:
             s.values[0] = 0.0
 
     def test_multiplicities_merge_close_values(self):
-        s = Spectrum(np.array([2.0, 2.0 - 1e-9, 0.0, -1.0, -1.0]), merge_tolerance=1e-7)
-        assert s.multiplicities() == [(2.0, 2), (0.0, 1), (-1.0, 2)]
+        s = Spectrum(np.array([2.0, 2.0 - 1e-9, 0.0, -1.0, -1.0]))
+        assert s.multiplicities(1e-7) == [(2.0, 2), (0.0, 1), (-1.0, 2)]
 
     def test_merging_never_changes_energy(self):
         values = np.array([1.0, 1.0 + 5e-8, -2.0])
-        assert Spectrum(values, merge_tolerance=1e-7).energy() == pytest.approx(
-            np.abs(values).sum()
-        )
+        s = Spectrum(values)
+        assert s.multiplicities(1e-7) == [(1.0 + 5e-8, 2), (-2.0, 1)]
+        assert s.energy() == pytest.approx(np.abs(values).sum())
 
     def test_rejects_empty_values(self):
         with pytest.raises(ValueError):
             Spectrum(np.array([]))
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            Spectrum(np.array([1.0]), merge_tolerance=0.0)
+    @pytest.mark.parametrize("tolerance", [-1.0, 0.0, float("inf"), float("nan")], ids=str)
+    def test_rejects_bad_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            Spectrum(np.array([1.0, 0.0])).multiplicities(tolerance)
 
     def test_matches_requires_same_length(self):
         assert not Spectrum(np.array([1.0])).matches(Spectrum(np.array([1.0, 0.0])), 1.0)
@@ -191,22 +193,23 @@ class TestSpectrumType:
 class TestStructuredSpectrum:
     def test_zero_base_gives_zeros(self):
         base = Spectrum(np.zeros(4))
-        out = structured_spectrum(np.array([1.0, -2.0]), base)
+        out = structured_spectrum(Spectrum(np.array([1.0, -2.0])), base)
         assert np.array_equal(out.values, np.zeros(8))
 
     def test_matches_direct_eigensolve_on_split_graph(self):
         g = cycle_graph(4)
         coeff = coefficient_matrix_split(2, 2)
-        product = structured_spectrum(coeff, adjacency_spectrum(g))
+        product = structured_spectrum(eigenvalues_symmetric(coeff.entries),
+                                      adjacency_spectrum(g))
         direct = adjacency_spectrum(generalized_splitting(g, 2, 2))
         assert product.matches(direct, 1e-8)
 
-    def test_accepts_spectrum_input(self):
+    def test_closed_form_and_eigensolved_coefficients_agree(self):
         base = adjacency_spectrum(cycle_graph(4))
-        coeff_spectrum = eigenvalues_symmetric(coefficient_matrix_split(1, 2).entries)
-        via_spectrum = structured_spectrum(coeff_spectrum, base)
-        via_matrix = structured_spectrum(coefficient_matrix_split(1, 2), base)
-        assert via_spectrum.matches(via_matrix, 1e-12)
+        closed = structured_spectrum(OPERATORS["split"].coefficient_spectrum(1, 2), base)
+        solved = structured_spectrum(
+            eigenvalues_symmetric(coefficient_matrix_split(1, 2).entries), base)
+        assert closed.matches(solved, 1e-12)
 
     def test_kronecker_spectrum_law_small_grid(self):
         rng = np.random.default_rng(7)
@@ -215,7 +218,7 @@ class TestStructuredSpectrum:
             m = np.triu(m, 1)
             m = m + m.T + np.diag(rng.integers(0, 2, size=dim))
             for g in random_graphs(3, 10, seed=dim):
-                coeff = CoefficientMatrix(m)
+                coeff = eigenvalues_symmetric(CoefficientMatrix(m).entries)
                 predicted = structured_spectrum(coeff, adjacency_spectrum(g))
                 direct = eigenvalues_symmetric(
                     np.kron(m.astype(float), g.adjacency.astype(float))
