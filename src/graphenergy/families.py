@@ -23,10 +23,11 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    max_order,
     star_graph,
 )
 from .operators import OPERATORS, Operator
-from .spectral import adjacency_spectrum, check_tolerance, verification_tolerance
+from .spectral import Spectrum, adjacency_spectrum, check_tolerance, verification_tolerance
 
 EQUIENERGETIC = "equienergetic"
 BORDERENERGETIC = "borderenergetic"
@@ -439,8 +440,8 @@ def _check_method(method: str) -> None:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 
 
-def verify(spec: FamilySpec, method: str = "both",
-           tolerance: float | None = None) -> VerificationReport:
+def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = None,
+           *, _memo: dict | None = None) -> VerificationReport:
     """Verify one family instance and return the full report.
 
     method selects the energy routes: "formula" evaluates the closed-form
@@ -449,6 +450,11 @@ def verify(spec: FamilySpec, method: str = "both",
     The formula route multiplies the scale factor by the base graph's energy,
     which is itself closed-form for the fixed-base families and eigensolved
     once otherwise; it never eigensolves a constructed member.
+
+    Eigensolved results go into `_memo`, a fresh dict unless `sweep` hands
+    in the one its grid points share. It maps a base Graph to its energy
+    and (operator name, args, base Graph) to the member's Spectrum; a Graph
+    key compares by content, so a base rebuilt at every point still hits.
     """
     _check_method(method)
     check_tolerance(tolerance)
@@ -458,13 +464,20 @@ def verify(spec: FamilySpec, method: str = "both",
         max(plan.order for plan in plans)
     )
 
-    base_energy_cache: dict[int, float] = {}
+    memo = {} if _memo is None else _memo
 
     def oracle_base_energy(base: Graph) -> float:
-        key = id(base)
-        if key not in base_energy_cache:
-            base_energy_cache[key] = adjacency_spectrum(base).energy()
-        return base_energy_cache[key]
+        energy = memo.get(base)
+        if energy is None:
+            energy = memo[base] = adjacency_spectrum(base).energy()
+        return energy
+
+    def member_spectrum(plan: MemberPlan) -> Spectrum:
+        key = (plan.operator.name, plan.args, plan.base)
+        spectrum = memo.get(key)
+        if spectrum is None:
+            spectrum = memo[key] = adjacency_spectrum(plan.build())
+        return spectrum
 
     members: list[MemberReport] = []
     spectra = []
@@ -478,7 +491,7 @@ def verify(spec: FamilySpec, method: str = "both",
             )
             predicted = plan.operator.factor(*plan.args) * base_energy
         if method in ("oracle", "both"):
-            spectrum = adjacency_spectrum(plan.build())
+            spectrum = member_spectrum(plan)
             spectra.append(spectrum)
             measured = spectrum.energy()
         target = known_energy("complete", plan.order) if family.kind == BORDERENERGETIC else None
@@ -544,6 +557,12 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
     `bench/run.py` on sweep-grid (2 CPUs, see CHANGES.md), because each
     point is mostly Python that holds the interpreter lock. `jobs` is
     ignored and kept only for callers that still pass it.
+
+    One sweep call does each piece of work once: the base graphs are
+    resolved once for every point, and the points share one memo of base
+    energies and member spectra (see `verify`), so a member or base that
+    recurs across the grid is eigensolved once. A failed eigensolve is not
+    memoized. Nothing is shared across sweep calls.
     """
     _check_method(method)
     check_tolerance(tolerance)
@@ -560,13 +579,20 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
             raise ValueError(f"empty range for parameter {name!r}")
         values.append(seq)
     grid = list(itertools.product(*values)) if values else [()]
-    _bases(family, base, base_pair)  # a wrong kind of base fails the sweep, not each point
+    # a wrong kind of base or a malformed cap setting fails the sweep, not each point
+    bases = _bases(family, base, base_pair)
+    if family.base == SINGLE:
+        (base,) = bases
+    elif family.base == PAIR:
+        base_pair = bases
+    max_order()
+    memo: dict = {}
 
     def run(point) -> VerificationReport:
         params = dict(zip(family.param_names, point))
         spec = FamilySpec(corollary_id, params, base=base, base_pair=base_pair)
         try:
-            return verify(spec, method=method, tolerance=tolerance)
+            return verify(spec, method=method, tolerance=tolerance, _memo=memo)
         except (OutOfDomainError, OrderCapError) as exc:
             verdict, message = "skipped", str(exc)
         except Exception as exc:  # one failing point must not end the sweep

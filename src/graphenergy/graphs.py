@@ -56,8 +56,9 @@ def symmetric_zero_one(a: np.ndarray, name: str) -> np.ndarray:
 
     Boolean and integer input is cast once, and the cast is proven lossless
     by comparing it with the input, so an entry that wraps (256 becomes 0)
-    is caught. Validation holds the copy and one boolean temporary, two bytes
-    per entry. Other dtypes (floats, complex numbers, objects) are compared
+    is caught; uint8 input is only copied, so it needs no such proof.
+    Validation holds the copy and one boolean temporary, two bytes per
+    entry. Other dtypes (floats, complex numbers, objects) are compared
     with 0 and 1 by value first, because casting NaN, a complex number or an
     object to uint8 can warn or raise where the comparison cannot.
     """
@@ -67,7 +68,7 @@ def symmetric_zero_one(a: np.ndarray, name: str) -> np.ndarray:
             raise ValueError(f"{name} entries must be 0 or 1")
         a = ones
     u = a.astype(np.uint8, order="C")
-    if u.max() > 1 or not np.array_equal(u, a):
+    if u.max() > 1 or (a.dtype != np.uint8 and not np.array_equal(u, a)):
         raise ValueError(f"{name} entries must be 0 or 1")
     if not np.array_equal(u, u.T):
         raise ValueError(f"{name} must be symmetric")

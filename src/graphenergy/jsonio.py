@@ -7,8 +7,8 @@ invocations produce byte-identical output.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 
 
 def format_float(x: float) -> str:
@@ -30,8 +30,15 @@ def dumps(obj, indent: int = 2) -> str:
 def _write(obj, out: list[str], indent: int, level: int) -> None:
     pad = " " * (indent * level)
     inner = " " * (indent * (level + 1))
-    if obj is None or isinstance(obj, (bool, int, str)):
-        out.append(json.dumps(obj))
+    # scalars are written as json.dumps writes them; bool is an int, so it goes first
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
     elif isinstance(obj, float):
         out.append(format_float(obj))
     elif isinstance(obj, dict):
@@ -42,7 +49,7 @@ def _write(obj, out: list[str], indent: int, level: int) -> None:
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(f"{inner}{json.dumps(key)}: ")
+            out.append(f"{inner}{encode_basestring_ascii(key)}: ")
             _write(value, out, indent, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(f"{pad}}}")

@@ -73,11 +73,18 @@ def coefficient_matrix_shadow(c: int, k: int) -> CoefficientMatrix:
     return CoefficientMatrix(m)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two square uint8 matrices, as one broadcast multiply:
+    the same bytes, without np.kron's general-shape Python work per call."""
+    m, n = a.shape[0], b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * n, m * n)
+
+
 def _kron_graph(name: str, args: tuple[int, ...], g: Graph, context: str) -> Graph:
     """kron(C, A) for the table entry `name`; the order is checked before C is built."""
     op = OPERATORS[name]
     check_order(op.dimension(*args) * g.order, context)
-    return Graph(np.kron(op.coefficients(*args).entries, g.adjacency))
+    return Graph(_kron(op.coefficients(*args).entries, g.adjacency))
 
 
 def generalized_splitting(g: Graph, p: int, q: int) -> Graph:
@@ -121,7 +128,7 @@ def kronecker_product(g: Graph, h: Graph) -> Graph:
     both coordinates are adjacent in their factors.
     """
     check_order(g.order * h.order, "Kronecker product")
-    return Graph(np.kron(g.adjacency, h.adjacency))
+    return Graph(_kron(g.adjacency, h.adjacency))
 
 
 def split_energy_factor(p: int, q: int) -> float:

@@ -281,6 +281,21 @@ class TestSweep:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("value,message", [
+        ("abc", "SPECTRAL_MAX_ORDER must be a positive integer, got 'abc'"),
+        ("0", "SPECTRAL_MAX_ORDER must be >= 1, got 0"),
+    ], ids=["abc", "0"])
+    @pytest.mark.parametrize("argv", [["sweep", "C6_1", "k=1..2"], ["verify", "C6_1", "k=1"]],
+                             ids=["sweep", "verify"])
+    def test_malformed_cap_setting_is_a_usage_error(self, capsys, monkeypatch, argv, value,
+                                                    message):
+        # a sweep used to report the setting once per point as an "error"
+        monkeypatch.setenv("SPECTRAL_MAX_ORDER", value)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_jobs_flag_is_a_usage_error(self, capsys):
         # sweeps run serially; there is no worker count to set
         with pytest.raises(SystemExit) as exc:

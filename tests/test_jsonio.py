@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphenergy import jsonio
 
@@ -45,3 +47,31 @@ def test_rejects_unserializable():
         jsonio.dumps({"x": object()})
     with pytest.raises(TypeError):
         jsonio.dumps({1: "non-string key"})
+
+
+# quotes, backslashes, control characters, DEL, non-ASCII, astral and lone surrogates
+AWKWARD = st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u00e9",
+                           "\u2028", "\U0001f600", "\ud800", "\udfff"])
+STRINGS = st.text(alphabet=st.one_of(AWKWARD, st.characters()))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), STRINGS,
+                    st.integers(-(2 ** 4000), 2 ** 4000))
+
+
+@given(SCALARS)
+def test_scalars_are_written_as_json_dumps_writes_them(value):
+    assert jsonio.dumps(value) == json.dumps(value) + "\n"
+    assert jsonio.dumps([value]) == json.dumps([value], indent=2) + "\n"
+
+
+@given(STRINGS)
+def test_keys_are_written_as_json_dumps_writes_them(key):
+    assert jsonio.dumps({key: 1}) == json.dumps({key: 1}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.uint8(1), np.bool_(True), b"bytes"],
+                         ids=["int64", "uint8", "bool_", "bytes"])
+def test_rejects_scalars_json_does_not_know(value):
+    with pytest.raises(TypeError):
+        jsonio.dumps(value)
+    with pytest.raises(TypeError):
+        jsonio.dumps({"x": [value]})

@@ -13,9 +13,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphenergy import (
     OPERATORS,
+    Graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -85,6 +88,38 @@ def test_build_is_the_kronecker_product_on_the_recorded_side(name):
             a = g.adjacency
             want = np.kron(c, a) if op.coefficient_first else np.kron(a, c)
             assert np.array_equal(op.build(g, *args).adjacency, want), (args, g)
+
+
+@st.composite
+def graphs(draw, max_order=10):
+    """A 0/1 simple graph of order 1..max_order."""
+    n = draw(st.integers(1, max_order))
+    a = np.zeros((n, n), dtype=np.uint8)
+    rows, cols = np.triu_indices(n, k=1)
+    a[rows, cols] = draw(st.lists(st.integers(0, 1), min_size=rows.size, max_size=rows.size))
+    return Graph(a | a.T)
+
+
+def assert_same_bytes(built: Graph, want: np.ndarray):
+    a = built.adjacency
+    assert a.dtype == np.uint8 and a.flags.c_contiguous
+    assert a.shape == want.shape and a.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), graphs())
+def test_kronecker_product_is_np_kron(g, h):
+    assert_same_bytes(kronecker_product(g, h), np.kron(g.adjacency, h.adjacency))
+
+
+@settings(max_examples=50, deadline=None)
+@given(graphs(), st.tuples(st.integers(1, 5), st.integers(1, 5)))
+def test_every_build_is_np_kron_on_its_recorded_side(g, pair):
+    for op in OPERATORS.values():
+        args = pair[:len(op.params)]
+        c = op.coefficients(*args).entries
+        want = np.kron(c, g.adjacency) if op.coefficient_first else np.kron(g.adjacency, c)
+        assert_same_bytes(op.build(g, *args), want)
 
 
 @pytest.mark.parametrize("name,params", [("split", SplitParams),
