@@ -174,33 +174,34 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _resolve_applied(args, g: Graph) -> tuple[Graph, Operator | None, list[int]]:
-    """Apply --apply to the input graph; returns (graph, operator, op args)."""
-    if not args.apply:
-        return g, None, []
-    op, op_args = _operator_spec(args.apply)
-    if op is None:
+def _applied_input(args) -> tuple[Graph, Graph, Operator | None, list[int], float]:
+    """Read the input graph and apply --apply, for `energy` and `spectrum`.
+
+    Returns (base graph, applied graph, operator, op args, tolerance). Refuses
+    kron, and a formula route without an operator, before any eigensolve.
+    """
+    base = _read_graph(args.input, args.input_format)
+    op, op_args = _operator_spec(args.apply) if args.apply else (None, [])
+    if args.apply and op is None:
         raise ValueError("--apply does not support kron; use the construct command")
-    return op.build(g, *op_args), op, op_args
+    if op is None and args.method != "oracle":
+        raise ValueError(
+            "the formula route needs --apply OPERATOR; a bare graph file has "
+            f"no closed-form {args.command}"
+        )
+    g = base if op is None else op.build(base, *op_args)
+    tol = args.tol if args.tol is not None else verification_tolerance(g.order)
+    return base, g, op, op_args, tol
 
 
 def cmd_energy(args) -> int:
-    base = _read_graph(args.input, args.input_format)
-    g, op, op_args = _resolve_applied(args, base)
-    tol = args.tol if args.tol is not None else verification_tolerance(g.order)
-
-    formula_energy = oracle_energy = delta = None
-    within = None
-    if args.method in ("formula", "both"):
-        if op is None:
-            raise ValueError(
-                "the formula route needs --apply OPERATOR; a bare graph file has "
-                "no closed-form energy"
-            )
+    base, g, op, op_args, tol = _applied_input(args)
+    formula_energy = oracle_energy = delta = within = None
+    if args.method != "oracle":
         formula_energy = op.factor(*op_args) * adjacency_spectrum(base).energy()
-    if args.method in ("oracle", "both"):
+    if args.method != "formula":
         oracle_energy = adjacency_spectrum(g).energy()
-    if formula_energy is not None and oracle_energy is not None:
+    if args.method == "both":
         delta = abs(formula_energy - oracle_energy)
         within = delta <= tol
 
@@ -222,10 +223,6 @@ def cmd_energy(args) -> int:
 
 
 def _spectrum_dict(spectrum: Spectrum, tolerance: float) -> dict:
-    # Sorting the sorted values once more is not a no-op: numpy's sort is not
-    # stable, so it can reorder ties of 0.0 and -0.0, and the recorded
-    # outputs of the spectrum command pin the order it leaves.
-    spectrum = Spectrum(spectrum.values)
     return {
         "values": [float(v) for v in spectrum.values],
         "multiplicities": [[value, count] for value, count in spectrum.multiplicities(tolerance)],
@@ -233,28 +230,18 @@ def _spectrum_dict(spectrum: Spectrum, tolerance: float) -> dict:
 
 
 def cmd_spectrum(args) -> int:
-    base = _read_graph(args.input, args.input_format)
-    g, op, op_args = _resolve_applied(args, base)
-    tol = args.tol if args.tol is not None else verification_tolerance(g.order)
-
-    oracle = formula = max_delta = None
-    within = None
-    oracle_spectrum = None
-    if args.method in ("oracle", "both"):
+    base, g, op, op_args, tol = _applied_input(args)
+    oracle = formula = max_delta = within = None
+    if args.method != "formula":
         oracle_spectrum = adjacency_spectrum(g)
         oracle = _spectrum_dict(oracle_spectrum, tol)
-    if args.method in ("formula", "both"):
-        if op is None:
-            raise ValueError(
-                "the formula route needs --apply OPERATOR; a bare graph file has "
-                "no closed-form spectrum"
-            )
+    if args.method != "oracle":
         structured = structured_spectrum(op.coefficient_spectrum(*op_args),
                                          adjacency_spectrum(base))
         formula = _spectrum_dict(structured, tol)
-        if oracle_spectrum is not None:
-            max_delta = float(np.max(np.abs(structured.values - oracle_spectrum.values)))
-            within = max_delta <= tol
+    if args.method == "both":
+        max_delta = float(np.max(np.abs(structured.values - oracle_spectrum.values)))
+        within = max_delta <= tol
 
     report = {
         "command": "spectrum",
@@ -367,23 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_input_format(p)
     p.set_defaults(fn=cmd_construct)
 
-    p = sub.add_parser("energy", help="compute graph energy")
-    p.add_argument("input", help="graph file")
-    p.add_argument("--apply", help="operator spec to apply first (enables the formula route)")
-    add_method(p)
-    add_tol(p)
-    add_output(p, json_output=True)
-    add_input_format(p)
-    p.set_defaults(fn=cmd_energy)
-
-    p = sub.add_parser("spectrum", help="compute the adjacency spectrum")
-    p.add_argument("input", help="graph file")
-    p.add_argument("--apply", help="operator spec to apply first (enables the formula route)")
-    add_method(p)
-    add_tol(p)
-    add_output(p, json_output=True)
-    add_input_format(p)
-    p.set_defaults(fn=cmd_spectrum)
+    for name, help_text, fn in (("energy", "compute graph energy", cmd_energy),
+                                ("spectrum", "compute the adjacency spectrum", cmd_spectrum)):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("input", help="graph file")
+        p.add_argument("--apply", help="operator spec to apply first (enables the formula route)")
+        add_method(p)
+        add_tol(p)
+        add_output(p, json_output=True)
+        add_input_format(p)
+        p.set_defaults(fn=fn)
 
     def add_table(p):
         p.add_argument("--table", action="store_true",

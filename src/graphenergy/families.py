@@ -103,13 +103,7 @@ class MemberReport:
     target_energy: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "order": self.order,
-            "predicted_energy": self.predicted_energy,
-            "measured_energy": self.measured_energy,
-            "target_energy": self.target_energy,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -139,19 +133,8 @@ class VerificationReport:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "corollary_id": self.corollary_id,
-            "kind": self.kind,
-            "parameters": dict(self.parameters),
-            "method": self.method,
-            "tolerance": self.tolerance,
-            "members": [m.to_dict() for m in self.members],
-            "orders_equal": self.orders_equal,
-            "energies_equal": self.energies_equal,
-            "cospectral": self.cospectral,
-            "verdict": self.verdict,
-            "error": self.error,
-        }
+        return {**vars(self), "parameters": dict(self.parameters),
+                "members": [m.to_dict() for m in self.members]}
 
     def to_table(self) -> str:
         """Plain-text rendering of the same record `to_dict` serializes.
@@ -277,6 +260,7 @@ def _member(operator: str, base: Graph, *args: int, base_label: str = "base",
 
 def _plan_c5_1(g1: Graph, g2: Graph, p: int, q: int) -> list[MemberPlan]:
     _domain(g1.order == g2.order, "the base pair must share one order")
+    _domain(p >= 1 and q >= 1, f"C5_1 needs p,q >= 1, got p={p}, q={q}")
     return [
         _member("split", g1, p, q, base_label="first base"),
         _member("split", g2, p, q, base_label="second base"),

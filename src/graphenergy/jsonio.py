@@ -20,16 +20,19 @@ def format_float(x: float) -> str:
     return text
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Serialize nested dicts/lists/scalars to JSON text."""
+_INDENT = "  "
+
+
+def dumps(obj) -> str:
+    """Serialize nested dicts/lists/scalars to JSON text, indented two spaces."""
     out: list[str] = []
-    _write(obj, out, indent, 0)
+    _write(obj, out, 0)
     return "".join(out) + "\n"
 
 
-def _write(obj, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _write(obj, out: list[str], level: int) -> None:
+    pad = _INDENT * level
+    inner = _INDENT * (level + 1)
     # scalars are written as json.dumps writes them; bool is an int, so it goes first
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
@@ -50,7 +53,7 @@ def _write(obj, out: list[str], indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             out.append(f"{inner}{encode_basestring_ascii(key)}: ")
-            _write(value, out, indent, level + 1)
+            _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(f"{pad}}}")
     elif isinstance(obj, (list, tuple)):
@@ -60,7 +63,7 @@ def _write(obj, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(inner)
-            _write(value, out, indent, level + 1)
+            _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(f"{pad}]")
     else:

@@ -52,7 +52,8 @@ class Spectrum:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("spectrum needs a nonempty 1-d value array")
-        v = np.sort(v)[::-1].copy()
+        # + 0.0 unsigns zeros: the unstable sort may order tied -0.0 and 0.0 any way
+        v = np.sort(v)[::-1] + 0.0
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

@@ -152,6 +152,15 @@ class TestSpectrum:
     def test_apply_kron_unsupported(self, c4_file, capsys):
         assert main(["spectrum", c4_file, "--apply", "kron", "--method", "both"]) == 2
 
+    @pytest.mark.parametrize("method", ["formula", "both"])
+    def test_zeros_are_printed_unsigned(self, c4_file, capsys, method):
+        # the rank-2 coefficient matrix makes 0 * negative products, each -0.0
+        argv = ["spectrum", c4_file, "--apply", "shadow-split:2,3", "--method", method]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "0.0," in out
+        assert "-0.0" not in out
+
 
 class TestVerify:
     def test_c6_2_passes(self, capsys):
@@ -209,6 +218,12 @@ class TestVerify:
     def test_out_of_domain_is_usage_error(self, capsys):
         assert main(["verify", "C5_3", "m=1", "t=1"]) == 2
 
+    def test_c5_1_out_of_domain_is_usage_error(self, capsys):
+        assert main(["verify", "C5_1", "p=0", "q=1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: C5_1 needs p,q >= 1, got p=0, q=1\n"
+
     def test_table_output(self, capsys):
         assert main(["verify", "C6_2", "t=1", "--table"]) == 0
         out = capsys.readouterr().out
@@ -240,6 +255,12 @@ class TestSweep:
 
     def test_empty_range_is_usage_error(self, capsys):
         assert main(["sweep", "C6_1", "k=3..1"]) == 2
+
+    def test_c5_1_skips_p_zero(self, capsys):
+        code, payload = run_json(capsys, ["sweep", "C5_1", "p=0..1", "q=1"])
+        assert code == 0
+        assert [r["verdict"] for r in payload] == ["skipped", "pass"]
+        assert payload[0]["error"] == "C5_1 needs p,q >= 1, got p=0, q=1"
 
     def test_skipped_points_do_not_fail_run(self, capsys):
         code, payload = run_json(

@@ -9,7 +9,9 @@ SPECTRAL_MAX_ORDER), `construct`, `energy --apply` and `spectrum --apply` for
 every CLI operator, and the operator error messages. Input files are written
 to a temporary directory; its path reads `{tmp}` in the recorded text.
 Regenerate the file with `PYTHONPATH=src python tests/test_cli_golden.py`
-only when an output is meant to change.
+only when an output is meant to change; it prints to stderr the ids of the
+cases the re-record added, removed or changed, and whether the layouts
+changed.
 """
 
 from __future__ import annotations
@@ -161,8 +163,9 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
         for extra in ([], ["--table"]):
             argv = ["sweep", *point, *extra]
             out.append((" ".join(argv) + (f" [cap {cap}]" if cap else ""), argv, cap))
-    argv = ["sweep", "C5_5", "c=1..2", "k=2,4", "--method", "formula"]
-    out.append((" ".join(argv), argv, None))
+    for argv in (["sweep", "C5_5", "c=1..2", "k=2,4", "--method", "formula"],
+                 ["sweep", "C5_1", "p=0..1", "q=1"]):
+        out.append((" ".join(argv), argv, None))
     for spec in CLI_OPERATORS:
         for base in ("{c4}", "{r6}"):
             for argv in (["construct", spec, base],
@@ -284,6 +287,17 @@ def record(directory: Path) -> dict:
     }
 
 
+def record_diff(old: dict, new: dict) -> list[str]:
+    """What a re-record changes: the ids of added, removed and changed cases,
+    and whether the layout digests changed."""
+    lines = [f"added: {case_id}" for case_id in new["cases"] if case_id not in old["cases"]]
+    lines += [f"removed: {case_id}" for case_id in old["cases"] if case_id not in new["cases"]]
+    lines += [f"changed: {case_id}" for case_id, case in new["cases"].items()
+              if case_id in old["cases"] and case != old["cases"][case_id]]
+    lines.append("layouts: " + ("changed" if new["layouts"] != old["layouts"] else "unchanged"))
+    return lines
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -313,9 +327,23 @@ def test_member_layouts_match_the_golden_digests(golden):
     assert layout_digests() == golden["layouts"]
 
 
+def test_record_diff_names_every_changed_case():
+    old = {"cases": {"a": {"exit": 0}, "b": {"exit": 0}, "c": {"exit": 0}},
+           "layouts": {"x": ["0"]}}
+    new = {"cases": {"a": {"exit": 0}, "c": {"exit": 1}, "d": {"exit": 0}},
+           "layouts": {"x": ["0"]}}
+    assert record_diff(old, new) == ["added: d", "removed: b", "changed: c",
+                                     "layouts: unchanged"]
+    assert record_diff(new, {**new, "layouts": {}})[-1] == "layouts: changed"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         data = record(Path(scratch))
+    previous = (json.loads(GOLDEN.read_text()) if GOLDEN.exists()
+                else {"cases": {}, "layouts": {}})
+    for line in record_diff(previous, data):
+        print(line, file=sys.stderr)
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=False) + "\n")
     print(f"wrote {len(data['cases'])} cases and {len(data['layouts'])} layouts to {GOLDEN}",
           file=sys.stderr)

@@ -228,6 +228,16 @@ class TestBasePair:
         with pytest.raises(OutOfDomainError, match="share one order"):
             verify(spec("C5_1", base_pair=pair, p=1, q=1))
 
+    def test_c5_1_needs_positive_parameters(self):
+        # a sweep skips the point, as for every other family, and does not
+        # report the split builder's own error
+        message = "C5_1 needs p,q >= 1, got p=0, q=1"
+        reports = sweep("C5_1", {"p": [0, 1], "q": [1]})
+        assert [r.verdict for r in reports] == ["skipped", "pass"]
+        assert reports[0].error == message
+        with pytest.raises(OutOfDomainError, match=re.escape(message)):
+            verify(spec("C5_1", p=0, q=1))
+
     def test_c5_1_rejects_single_base(self):
         with pytest.raises(ValueError, match="base pair"):
             verify(spec("C5_1", base=cycle_graph(4), p=1, q=1))

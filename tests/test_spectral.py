@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphenergy import (
     OPERATORS,
@@ -185,6 +187,15 @@ class TestSpectrumType:
     def test_rejects_bad_tolerance(self, tolerance):
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             Spectrum(np.array([1.0, 0.0])).multiplicities(tolerance)
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), min_size=1, max_size=40)
+           .map(lambda v: v + [0.0, -0.0]), st.data())
+    def test_zeros_are_unsigned_in_every_input_order(self, values, data):
+        first = Spectrum(np.array(values)).values
+        assert not np.signbit(first[first == 0.0]).any()
+        for _ in range(3):
+            again = Spectrum(np.array(data.draw(st.permutations(values)))).values
+            assert again.tobytes() == first.tobytes()
 
     def test_matches_requires_same_length(self):
         assert not Spectrum(np.array([1.0])).matches(Spectrum(np.array([1.0, 0.0])), 1.0)
