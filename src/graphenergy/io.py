@@ -6,11 +6,19 @@ symmetric, 1-based) targets numerics tools; edge lists are human-editable
 ASCII with 0-based indices.
 
 The codecs work on whole arrays. graph6 bits go through a boolean triangle
-mask, and the text writers index a per-vertex label table. The text readers
+mask. The text writers gather fixed-width per-vertex labels with `take`, a
+bounded slab of edges at a time, and delete the padding. The text readers
 parse entry lines of plain ASCII digits in one `np.fromstring` call; any
 other spelling is read line by line with `int`, so both accept the same
 input. They find faulty lines with array masks and report the first one,
 with the message and check order of a line-by-line reader.
+
+The passes stay on numpy's fast 1-D kernels. Three slow paths are avoided,
+timed on an order-400 graph of density 0.5: the 2-D `np.nonzero` of the
+upper triangle (0.68 ms, against 0.11 ms for `flatnonzero` and `divmod`),
+indexing with an irregular boolean mask (0.28 ms, against 0.13 ms for `take`
+of a `flatnonzero`), and `.any(axis=1)` over a (k, 2) mask (0.40 ms, against
+0.02 ms for OR-ing its two columns).
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import re
 
 import numpy as np
 
-from .graphs import Graph, check_order
+from .graphs import Graph, _upper_edges, check_order
 
 GRAPH6_MAX_ORDER = 258_047  # three-byte size header limit
 _GRAPH6_HEADER = b">>graph6<<"
@@ -116,23 +124,34 @@ def decode_graph6(data) -> Graph:
     return Graph(a)
 
 
+# edges per slab of the padded label table; bounds its size and that of its copy
+_SLAB_EDGES = 4096
+
+
 def _edge_lines(g: Graph, base: int, larger_first: bool) -> str:
     """One "x y" line per edge, in `Graph.edges()` order.
 
     Vertices are numbered from `base`; `larger_first` names the larger
-    endpoint first. The lines are joined from per-vertex "x " and "y\n"
-    label tables, so no string is formatted per edge.
+    endpoint first. Per-vertex "x " and "y\n" labels sit in fixed-width
+    byte tables, NUL-padded to the longest label; `take` gathers them into
+    a (k, 2) table whose bytes, with the NULs deleted, are the lines. The
+    table is filled a slab of edges at a time, so its padded copy stays
+    small beside the text.
     """
-    rows, cols = np.nonzero(np.triu(g.adjacency, k=1))
+    rows, cols = _upper_edges(g.adjacency)
     if larger_first:
         rows, cols = cols, rows
+    width = len(str(g.order + base - 1)) + 1
     labels = range(base, g.order + base)
-    first = np.array([f"{x} " for x in labels], dtype=object)
-    second = np.array([f"{x}\n" for x in labels], dtype=object)
-    pieces = np.empty(2 * rows.size, dtype=object)
-    pieces[0::2] = first[rows]
-    pieces[1::2] = second[cols]
-    return "".join(pieces.tolist())
+    first = np.array([f"{x} " for x in labels], dtype=f"S{width}")
+    second = np.array([f"{x}\n" for x in labels], dtype=f"S{width}")
+    slabs = []
+    for start in range(0, rows.size, _SLAB_EDGES):
+        slab = slice(start, start + _SLAB_EDGES)
+        table = np.column_stack([first.take(rows[slab]), second.take(cols[slab])])
+        slabs.append(table.tobytes().replace(b"\0", b""))
+    del rows, cols  # the index arrays outweigh the text; free them before joining
+    return b"".join(slabs).decode("ascii")
 
 
 def write_matrix_market(g: Graph) -> str:
@@ -166,31 +185,49 @@ def _lines(text: str):
         pos = m.end()
 
 
-def _digit_pairs(block: str) -> np.ndarray | None:
-    """The (k, 2) int64 array of the entries of `block`, if every line is
-    blank or two runs of ASCII digits separated by spaces or tabs; else None.
+def _token_count(block: str) -> int | None:
+    """The number of tokens in the ASCII text `block`, if every line is blank
+    or two runs of ASCII digits separated by spaces or tabs; else None.
 
-    Such a block parses in one `np.fromstring` call, to the values `int`
-    gives each token (leading zeros included).
+    Each mask is freed once used up. Lines are counted over the token starts
+    and line breaks, taken in text order with `take` of a `flatnonzero`:
+    indexing with the irregular boolean mask itself takes twice as long.
     """
-    if not block.isascii():
-        return None
     b = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
     digit = (b >= 48) & (b <= 57)
     newline = (b == 10) | (b == 13)
     if not (digit | newline | (b == 32) | (b == 9)).all():
         return None
-    token = digit.copy()
-    token[1:] &= ~digit[:-1]
-    # token starts and line breaks in text order; a line holds 0 or 2 tokens
-    is_token = token[token | newline]
-    breaks = np.flatnonzero(~is_token)
-    per_line = np.diff(breaks, prepend=-1, append=is_token.size) - 1
+    del b
+    event = digit.copy()  # token starts, then line breaks as well
+    event[1:] &= ~digit[:-1]
+    del digit
+    event |= newline
+    is_break = newline.take(np.flatnonzero(event))
+    del event, newline
+    breaks = np.flatnonzero(is_break)
+    per_line = np.diff(breaks, prepend=-1, append=is_break.size) - 1
     if not ((per_line == 0) | (per_line == 2)).all():
+        return None
+    return is_break.size - breaks.size
+
+
+def _digit_pairs(block: str) -> np.ndarray | None:
+    """The (k, 2) int64 array of the entries of `block`, if every line is
+    blank or two runs of ASCII digits separated by spaces or tabs; else None.
+
+    `_token_count` checks that layout over byte masks; such a block then
+    parses in one `np.fromstring` call, to the values `int` gives each token
+    (leading zeros included).
+    """
+    if not block.isascii():
+        return None
+    count = _token_count(block)
+    if count is None:
         return None
     values = np.fromstring(block, dtype=np.int64, sep=" ")
     # fromstring reads a blank block as [0], and saturates on overflow
-    if values.size != is_token.sum() or (values.size and values.max() == _INT64_MAX):
+    if values.size != count or (values.size and values.max() == _INT64_MAX):
         return None
     return values.reshape(-1, 2)
 
@@ -292,9 +329,10 @@ def read_matrix_market(text: str) -> Graph:
     check_order(nrows)
     a = np.zeros((nrows, nrows), dtype=np.uint8)
     # the first faulty entry line wins; within a line: range, diagonal, triangle
-    out_of_range = ((pairs < 1) | (pairs > nrows)).any(axis=1)
+    outside = (pairs < 1) | (pairs > nrows)
+    out_of_range = outside[:, 0] | outside[:, 1]  # not .any(axis=1): 20x slower
     valid = pairs[: _first(out_of_range | (pairs[:, 0] <= pairs[:, 1]))]
-    i, j = (valid.astype(np.int64) - 1).T
+    i, j = (valid.astype(np.int64, copy=False) - 1).T
     bad = _set_entries(a, i, j)
     if bad < len(pairs):
         r, c = (int(x) for x in pairs[bad])
@@ -373,7 +411,7 @@ def read_edge_list(text: str) -> Graph:
     check_order(order)
 
     a = np.zeros((order, order), dtype=np.uint8)
-    valid = pairs[: _first(v >= order)].astype(np.int64)
+    valid = pairs[: _first(v >= order)].astype(np.int64, copy=False)
     u, v = valid.T
     bad = _set_entries(a, u, v)
     if bad < len(pairs):

@@ -2,8 +2,11 @@
 readers and writers as they were before `graphenergy.io` was vectorized.
 
 They walk bits and lines one at a time in Python, so they are slow but easy to
-check by eye. The differential tests hold the library codecs to them: equal
-output bytes, equal graphs, and identical error messages.
+check by eye. The writers find the edges by walking the adjacency matrix, not
+through `Graph.edges` or `Graph.edge_count`, so the vectorized edge extraction
+those share with the library writers is checked too. The differential tests
+hold the library codecs to them: equal output bytes, equal graphs, and
+identical error messages.
 """
 
 from __future__ import annotations
@@ -115,18 +118,25 @@ def decode_graph6(data) -> Graph:
     return Graph(a)
 
 
+def _edges(g: Graph) -> list[tuple[int, int]]:
+    """The (u, v) pairs with u < v and a[u, v] set, row by row."""
+    a = g.adjacency.tolist()
+    return [(u, v) for u in range(g.order) for v in range(u + 1, g.order) if a[u][v]]
+
+
 def write_matrix_market(g: Graph) -> str:
     """Matrix Market coordinate text (pattern, symmetric, 1-based).
 
     One line per edge, stored in the lower triangle (row > column) as the
     symmetric variant of the format requires.
     """
+    edges = _edges(g)
     lines = [
         "%%MatrixMarket matrix coordinate pattern symmetric",
         "% undirected simple graph adjacency pattern",
-        f"{g.order} {g.order} {g.edge_count}",
+        f"{g.order} {g.order} {len(edges)}",
     ]
-    for u, v in g.edges():
+    for u, v in edges:
         lines.append(f"{v + 1} {u + 1}")
     return "\n".join(lines) + "\n"
 
@@ -198,7 +208,7 @@ def write_edge_list(g: Graph) -> str:
         "# undirected simple graph, 0-based vertex indices",
         f"# order {g.order}",
     ]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    lines.extend(f"{u} {v}" for u, v in _edges(g))
     return "\n".join(lines) + "\n"
 
 

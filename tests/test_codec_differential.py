@@ -11,13 +11,14 @@ graph6, flipped padding bits, bad bytes and broken size headers.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codec_reference as reference
-from graphenergy import (Graph, adjacency_spectrum, complete_graph, generalized_splitting, io,
-                         random_graph)
+from graphenergy import (Graph, adjacency_spectrum, complete_graph, empty_graph,
+                         generalized_splitting, io, random_graph)
 
 from test_io import graphs
 
@@ -51,6 +52,30 @@ def test_writers_at_the_long_header_boundary():
             g = random_graph(n, p, seed=n)
             for name in WRITERS:
                 assert getattr(io, name)(g) == getattr(reference, name)(g)
+
+
+def _first_edges(n: int, m: int) -> Graph:
+    """Order n with the first m upper-triangle pairs, in row-major order, as edges."""
+    a = np.zeros((n, n), dtype=np.uint8)
+    rows, cols = np.triu_indices(n, 1)
+    a[rows[:m], cols[:m]] = 1
+    return Graph(a | a.T)
+
+
+# the hypothesis writer test stops at order 40: these cross the label widths
+# (edge lists number from 0, Matrix Market from 1), the slab size of the
+# label table, and the graphs with no edge line at all
+@pytest.mark.parametrize("g", [
+    *(random_graph(n, 0.5, seed=n) for n in (9, 10, 11)),
+    *(random_graph(n, 0.1, seed=n) for n in (99, 100, 101)),
+    *(random_graph(n, 0.002, seed=n) for n in (999, 1000, 1001)),
+    *(_first_edges(100, io._SLAB_EDGES + d) for d in (-1, 0, 1)),
+    empty_graph(12),
+    complete_graph(1),
+], ids=lambda g: f"n{g.order}-m{g.edge_count}")
+@pytest.mark.parametrize("name", ["write_matrix_market", "write_edge_list"])
+def test_text_writers_across_label_widths_and_slabs(name, g):
+    assert getattr(io, name)(g) == getattr(reference, name)(g)
 
 
 # -- text formats ---------------------------------------------------------------
@@ -162,6 +187,8 @@ def test_well_formed_text_reads_back_the_graph(reader, writer, comment, data):
     "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n3 1\n3 1",
     "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n4 1\n2 2\n",
     "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 2\n4 1\n",
+    "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 0\n",
+    "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 1\n2 -1\n",
     "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 3\n2 1\n2 1\n1 3\n",
     "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 3\n2 1\n2 x\n2 1\n",
     "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 3\n2 1\n2 1\n2 x\n",
@@ -294,6 +321,21 @@ def test_peak_memory_at_order_400_is_no_higher_than_the_reference(name):
            "read_edge_list": io.write_edge_list(g),
            "decode_graph6": io.encode_graph6(g)}.get(name, g)
     assert _peak_bytes(getattr(io, name), arg) <= _peak_bytes(getattr(reference, name), arg)
+
+
+# peak traced bytes per byte of text at order 400 (about 0.3 MB of text): the
+# codecs before the 1-D rewrite held 7.6 (writers) and 9.9 (readers), a writer
+# that pads the label table for all edges at once 5.3
+TEXT_PEAK_PER_TEXT_BYTE = {"write_matrix_market": 4, "write_edge_list": 4,
+                           "read_matrix_market": 8, "read_edge_list": 8}
+
+
+@pytest.mark.parametrize("name", TEXT_PEAK_PER_TEXT_BYTE)
+def test_text_codec_peak_memory_per_text_byte_at_order_400(name):
+    g = random_graph(400, 0.5, seed=400)
+    text = (io.write_matrix_market if "matrix" in name else io.write_edge_list)(g)
+    arg = text if name.startswith("read") else g
+    assert _peak_bytes(getattr(io, name), arg) <= TEXT_PEAK_PER_TEXT_BYTE[name] * len(text)
 
 
 def test_graph6_encoder_memory_is_a_few_bytes_per_entry():

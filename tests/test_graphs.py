@@ -157,6 +157,14 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             max_order()
 
+    @pytest.mark.parametrize("n,p", [(1, 0.5), (7, 0.0), (30, 0.3), (41, 1.0)])
+    def test_edges_and_edge_count_walk_the_upper_triangle_by_rows(self, n, p):
+        g = random_graph(n, p, seed=n)
+        a = g.adjacency.tolist()
+        want = [(u, v) for u in range(n) for v in range(u + 1, n) if a[u][v]]
+        assert g.edges() == want
+        assert g.edge_count == len(want) and type(g.edge_count) is int
+
     def test_relabeled_preserves_structure(self):
         g = path_graph(4)
         h = g.relabeled([3, 1, 0, 2])
