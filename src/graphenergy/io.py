@@ -353,6 +353,7 @@ def read_matrix_market(text: str) -> Graph:
     if fault is not None:
         raise fault
     a[j, i] = 1
+    del block, pairs, outside, out_of_range, valid, i, j  # dead while Graph validates
     return Graph(a)
 
 
@@ -420,6 +421,7 @@ def read_edge_list(text: str) -> Graph:
             raise ValueError(f"edge ({u}, {v}) out of range for order {order}")
         raise ValueError(f"duplicate edge ({u}, {v})")
     a[v, u] = 1
+    del pairs, valid, u, v  # dead while Graph validates
     return Graph(a)
 
 

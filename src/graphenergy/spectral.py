@@ -3,10 +3,26 @@
 The eigensolver delegates to LAPACK (numpy.linalg.eigvalsh). Energy is the
 sum of absolute adjacency eigenvalues.
 
-A dense eigensolve of order n holds two float64 copies of the matrix, about
-16 n^2 bytes: the one made here and the one numpy's eigvalsh makes for
+A graph is eigensolved through its false-twin quotient. Vertices with equal
+adjacency rows are false twins: they are mutually non-adjacent, because the
+diagonal is zero. Let the m distinct rows form classes of sizes k_1..k_m,
+with r_i the first vertex of class i. In the orthonormal basis made of the
+normalized class indicators and, inside each class, vectors that sum to
+zero, the adjacency matrix splits into the m x m block
+Q[i, j] = sqrt(k_i) sqrt(k_j) A[r_i, r_j] and a zero block: a vector that
+sums to zero on one class and vanishes elsewhere is mapped to zero, because
+every row takes the same value on all of a class's columns. So the spectrum
+is that of Q plus n - m exact zeros, with no approximation. The operator
+graphs are full of such twins (the splitting vertices of a set share one
+neighbourhood, and so do shadowed copies): the C6_2 member of order 976 has
+32 distinct rows. A twin-free graph is eigensolved from
+`adjacency.astype(float64)` as it stands.
+
+A dense eigensolve of order m holds two float64 copies of the matrix, about
+16 m^2 bytes: the one made here and the one numpy's eigvalsh makes for
 LAPACK. tracemalloc sees only the first, so a peak it reports is about
-8 n^2 bytes, half the real one.
+8 m^2 bytes, half the real one. Finding the classes packs the rows to bits,
+n^2 / 8 bytes, and sorts them.
 """
 
 from __future__ import annotations
@@ -102,21 +118,45 @@ def _check_square_symmetric(matrix) -> np.ndarray:
     return a
 
 
+def _twin_quotient(adjacency: np.ndarray) -> tuple[np.ndarray, int]:
+    """The float64 matrix to eigensolve for the 0/1 matrix `adjacency`, its
+    false-twin quotient (see the module docstring), and the number of zero
+    eigenvalues the quotient leaves out.
+
+    The rows are compared packed to bits: at order 900 that takes 80 us,
+    against 517 us on the byte rows. `np.unique` sorts stably, so the index
+    it returns is a class's first vertex, and the classes are put in order
+    of their first vertex. A twin-free matrix is cast as it stands.
+    """
+    packed = np.packbits(adjacency, axis=1)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    first, counts = np.unique(rows, return_index=True, return_counts=True)[1:]
+    del packed, rows
+    zeros = adjacency.shape[0] - first.size
+    if not zeros:
+        return adjacency.astype(np.float64), 0
+    order = np.argsort(first)
+    first, weights = first[order], np.sqrt(counts[order])
+    q = adjacency[np.ix_(first, first)].astype(np.float64)
+    q *= weights[:, None]  # in place: a weight matrix would be one more m^2 copy
+    q *= weights
+    return q, zeros
+
+
 def eigenvalues_symmetric(matrix) -> Spectrum:
     """All eigenvalues of a real symmetric matrix, or of a Graph's adjacency
     matrix, sorted descending.
 
-    A Graph is converted to float64 with no symmetry check: its 0/1 matrix
-    was proven exactly symmetric when the Graph was built, and 0 and 1 are
-    exact in float64. Any other matrix is checked to be square and symmetric
-    within SYMMETRY_TOLERANCE.
+    A Graph is eigensolved through its false-twin quotient, with no symmetry
+    check: its 0/1 matrix was proven exactly symmetric when the Graph was
+    built, and 0 and 1 are exact in float64. Any other matrix is checked to
+    be square and symmetric within SYMMETRY_TOLERANCE.
     """
     if isinstance(matrix, Graph):
-        a = matrix.adjacency.astype(np.float64)
+        a, zeros = _twin_quotient(matrix.adjacency)
     else:
-        a = _check_square_symmetric(matrix)
-    values = np.linalg.eigvalsh(a)
-    return Spectrum(values[::-1])
+        a, zeros = _check_square_symmetric(matrix), 0
+    return Spectrum(np.concatenate([np.linalg.eigvalsh(a), np.zeros(zeros)]))
 
 
 def adjacency_spectrum(g: Graph) -> Spectrum:

@@ -5,13 +5,24 @@
   spectrum. The formula tests hold the closed-form coefficient spectra to it.
 - `are_cospectral`: whether two graphs have elementwise-equal spectra, as in
   the check that equienergetic members need not be cospectral.
+- `twin_classes` / `twin_quotient_spectrum`: the false-twin quotient built
+  row by row and entry by entry, the reference for the library's vectorized
+  quotient in `eigenvalues_symmetric`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from graphenergy import Graph, Spectrum, adjacency_spectrum, verification_tolerance
+from graphenergy import (
+    Graph,
+    Spectrum,
+    adjacency_spectrum,
+    eigenvalues_symmetric,
+    verification_tolerance,
+)
 from graphenergy.spectral import check_tolerance
 
 
@@ -71,3 +82,26 @@ def are_cospectral(a: Graph, b: Graph, tolerance: float | None = None) -> bool:
     if tolerance is None:
         tolerance = verification_tolerance(max(a.order, b.order))
     return adjacency_spectrum(a).matches(adjacency_spectrum(b), tolerance)
+
+
+def twin_classes(g: Graph) -> list[list[int]]:
+    """The classes of vertices with equal adjacency rows, each in vertex
+    order, in order of their first vertex."""
+    classes: dict[bytes, list[int]] = {}
+    for v in range(g.order):
+        classes.setdefault(g.adjacency[v].tobytes(), []).append(v)
+    return list(classes.values())
+
+
+def twin_quotient_spectrum(g: Graph) -> Spectrum:
+    """Spectrum of g from its false-twin quotient: the eigenvalues of
+    Q[i, j] = A[r_i, r_j] sqrt(k_i) sqrt(k_j) (class sizes k, first vertices
+    r), eigensolved as a plain matrix, and one exact zero per vertex that is
+    not the first of its class."""
+    classes = twin_classes(g)
+    q = np.empty((len(classes), len(classes)), dtype=np.float64)
+    for i, ci in enumerate(classes):
+        for j, cj in enumerate(classes):
+            q[i, j] = int(g.adjacency[ci[0], cj[0]]) * math.sqrt(len(ci)) * math.sqrt(len(cj))
+    values = eigenvalues_symmetric(q).values
+    return Spectrum(np.concatenate([values, np.zeros(g.order - len(classes))]))

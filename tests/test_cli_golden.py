@@ -11,7 +11,9 @@ to a temporary directory; its path reads `{tmp}` in the recorded text.
 Regenerate the file with `PYTHONPATH=src python tests/test_cli_golden.py`
 only when an output is meant to change; it prints to stderr the ids of the
 cases the re-record added, removed or changed, and whether the layouts
-changed.
+changed. For a changed case it also says whether only numbers changed, and
+by how much at most, so that a re-record that moves last digits can be
+audited.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -287,13 +290,41 @@ def record(directory: Path) -> dict:
     }
 
 
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def numeric_change(old: dict, new: dict) -> float | None:
+    """The largest absolute difference between the numbers of two recordings
+    of one case, or None if anything else differs: a byte outside a number,
+    the count of numbers, or a value that is not text (the exit code)."""
+    if old.keys() != new.keys():
+        return None
+    largest = 0.0
+    for key, was in old.items():
+        now = new[key]
+        if not (isinstance(was, str) and isinstance(now, str)):
+            if was != now:
+                return None
+            continue
+        if _NUMBER.split(was) != _NUMBER.split(now):
+            return None
+        for a, b in zip(_NUMBER.findall(was), _NUMBER.findall(now)):
+            largest = max(largest, abs(float(a) - float(b)))
+    return largest
+
+
 def record_diff(old: dict, new: dict) -> list[str]:
     """What a re-record changes: the ids of added, removed and changed cases,
-    and whether the layout digests changed."""
+    for each changed case whether only numbers changed and by how much at
+    most, and whether the layout digests changed."""
     lines = [f"added: {case_id}" for case_id in new["cases"] if case_id not in old["cases"]]
     lines += [f"removed: {case_id}" for case_id in old["cases"] if case_id not in new["cases"]]
-    lines += [f"changed: {case_id}" for case_id, case in new["cases"].items()
-              if case_id in old["cases"] and case != old["cases"][case_id]]
+    for case_id, case in new["cases"].items():
+        if case_id in old["cases"] and case != old["cases"][case_id]:
+            change = numeric_change(old["cases"][case_id], case)
+            lines.append(f"changed: {case_id} (" + (
+                "not numbers only" if change is None
+                else f"numbers only, largest change {change:.1e}") + ")")
     lines.append("layouts: " + ("changed" if new["layouts"] != old["layouts"] else "unchanged"))
     return lines
 
@@ -332,9 +363,26 @@ def test_record_diff_names_every_changed_case():
            "layouts": {"x": ["0"]}}
     new = {"cases": {"a": {"exit": 0}, "c": {"exit": 1}, "d": {"exit": 0}},
            "layouts": {"x": ["0"]}}
-    assert record_diff(old, new) == ["added: d", "removed: b", "changed: c",
+    assert record_diff(old, new) == ["added: d", "removed: b",
+                                     "changed: c (not numbers only)",
                                      "layouts: unchanged"]
     assert record_diff(new, {**new, "layouts": {}})[-1] == "layouts: changed"
+
+
+def test_record_diff_tells_number_changes_from_other_changes():
+    def diff(stdout, code=0):
+        old = {"exit": 0, "stdout": '{"energy": 1949.9999999999836, "order": 976}\n'}
+        return record_diff({"cases": {"c": old}, "layouts": {}},
+                           {"cases": {"c": {"exit": code, "stdout": stdout}},
+                            "layouts": {}})[0]
+    assert diff('{"energy": 1950.0, "order": 976}\n') == \
+        "changed: c (numbers only, largest change 1.6e-11)"
+    assert diff('{"energy": 1950.0, "order": 977}\n') == \
+        "changed: c (numbers only, largest change 1.0e+00)"
+    for other in (diff('{"energy": 1950.0, "order": 976, "n": 1}\n'),
+                  diff('{"energy": 1949.9999999999836, "order":976}\n'),
+                  diff('{"energy": 1949.9999999999836, "order": 976}\n', code=1)):
+        assert other == "changed: c (not numbers only)"
 
 
 if __name__ == "__main__":

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphenergy import (
     OPERATORS,
     CoefficientMatrix,
+    Graph,
     Spectrum,
     adjacency_spectrum,
     coefficient_matrix_split,
@@ -28,7 +29,7 @@ from graphenergy import (
 
 from conftest import random_graphs
 from jacobi_reference import jacobi_eigenvalues
-from spectral_reference import are_cospectral
+from spectral_reference import are_cospectral, twin_classes, twin_quotient_spectrum
 from test_codec_golden import acceptance_corpus
 
 
@@ -60,10 +61,38 @@ class TestEigenvaluesSymmetric:
             eigenvalues_symmetric(matrix)
 
     def test_graph_input_matches_its_float_matrix_bit_for_bit(self):
+        # a graph with false twins is eigensolved through its quotient, so its
+        # reference is the loop-built quotient; a twin-free graph's is its matrix
+        twin_free = 0
         for name, g in acceptance_corpus():
             via_graph = eigenvalues_symmetric(g).values
-            via_matrix = eigenvalues_symmetric(g.adjacency.astype(float)).values
-            assert via_graph.tobytes() == via_matrix.tobytes(), name
+            if len(twin_classes(g)) == g.order:
+                twin_free += 1
+                reference = eigenvalues_symmetric(g.adjacency.astype(float)).values
+            else:
+                reference = twin_quotient_spectrum(g).values
+            assert via_graph.tobytes() == reference.tobytes(), name
+        assert 0 < twin_free < 100
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_planted_false_twins_keep_the_full_spectrum(self, data):
+        # blow each vertex of a random base graph up into 1-6 mutually
+        # non-adjacent copies with equal rows, then shuffle the vertices
+        base = random_graph(data.draw(st.integers(1, 12)),
+                            data.draw(st.sampled_from([0.2, 0.5, 0.8])),
+                            seed=data.draw(st.integers(0, 2**32 - 1)))
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=base.order,
+                                   max_size=base.order))
+        copies = np.repeat(np.arange(base.order), sizes)
+        vertices = copies[data.draw(st.permutations(range(copies.size)))]
+        g = Graph(base.adjacency[np.ix_(vertices, vertices)])
+        n, m = g.order, len(twin_classes(g))
+        values = adjacency_spectrum(g).values
+        full = np.linalg.eigvalsh(g.adjacency.astype(float))[::-1]
+        assert values.shape == full.shape
+        assert np.max(np.abs(values - full)) <= verification_tolerance(n) / 100
+        assert np.count_nonzero(values == 0.0) >= n - m
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
