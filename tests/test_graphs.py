@@ -102,20 +102,6 @@ class TestGenerators:
     def test_random_graph_reproducible(self):
         assert random_graph(10, 0.5, seed=3) == random_graph(10, 0.5, seed=3)
 
-    @pytest.mark.parametrize("n", [1, 2, 65, 300, 1000])
-    def test_random_graph_is_the_graph_of_one_full_draw(self, n):
-        # the floats are drawn in row slabs: the graphs, and what is left of a
-        # shared generator's stream, must be those of one (n, n) draw each
-        def full_draw(rng):
-            upper = np.triu(rng.random((n, n)) < 0.4, k=1)
-            return (upper | upper.T).astype(np.uint8)
-
-        mine, theirs = np.random.default_rng(n), np.random.default_rng(n)
-        for _ in range(2):
-            a = random_graph(n, 0.4, seed=mine).adjacency
-            assert a.tobytes() == full_draw(theirs).tobytes()
-        assert random_graph(n, 0.4, seed=n) == Graph(full_draw(np.random.default_rng(n)))
-
     def test_generators_all_valid(self):
         for g in [complete_graph(5), complete_bipartite(3, 4), cycle_graph(6),
                   path_graph(5), star_graph(3), empty_graph(4)]:

@@ -71,6 +71,10 @@ class TestEigenvaluesSymmetric:
                 reference = eigenvalues_symmetric(g.adjacency.astype(float)).values
             else:
                 reference = twin_quotient_spectrum(g).values
+                # the loop-built quotient shares the formula; the full solve does not
+                full = np.linalg.eigvalsh(g.adjacency.astype(float))[::-1]
+                assert (np.max(np.abs(via_graph - full))
+                        <= verification_tolerance(g.order) / 100), name
             assert via_graph.tobytes() == reference.tobytes(), name
         assert 0 < twin_free < 100
 
