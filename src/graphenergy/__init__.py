@@ -16,7 +16,6 @@ from .families import (
     sweep,
     verify,
 )
-from .formulas import known_energy
 from .graphs import (
     Graph,
     OrderCapError,
@@ -48,6 +47,7 @@ from .operators import (
     coefficient_matrix_shadow,
     coefficient_matrix_split,
     generalized_splitting,
+    known_energy,
     kronecker_product,
     m_shadow,
     m_splitting,
@@ -58,7 +58,6 @@ from .operators import (
 from .spectral import (
     Spectrum,
     adjacency_spectrum,
-    eigenvalues_symmetric,
     energy,
     structured_spectrum,
     verification_tolerance,
@@ -85,7 +84,6 @@ __all__ = [
     "cycle_graph",
     "decode_graph6",
     "disjoint_union",
-    "eigenvalues_symmetric",
     "empty_graph",
     "encode_graph6",
     "energy",

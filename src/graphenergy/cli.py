@@ -344,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(fn=cmd_gen)
 
+    specs = [f"{op.name}:{','.join(op.params).upper()}" for op in OPERATORS.values() if op.cli]
     p = sub.add_parser("construct", help="apply a graph operator to an input graph")
-    p.add_argument("operator",
-                   help="operator spec: split:P,Q shadow-split:C,K splitting:M shadow:M kron")
+    p.add_argument("operator", help=f"operator spec: {' '.join(specs)} kron")
     p.add_argument("input", help="base graph file")
     p.add_argument("--with", dest="with_graph", help="second graph file (kron only)")
     add_output(p)
@@ -365,33 +365,24 @@ def build_parser() -> argparse.ArgumentParser:
         add_input_format(p)
         p.set_defaults(fn=fn)
 
-    def add_table(p):
+    for name, help_text, family_help, bindings, bindings_help, fn in (
+        ("verify", "verify one family instance", "family id, e.g. C5_4 or C6_2",
+         "params", "parameter bindings like t=1 m=2 k=-1", cmd_verify),
+        ("sweep", "verify a family over a parameter grid", "family id, e.g. C6_1",
+         "ranges", "parameter ranges like k=1..5 or k=-1,1", cmd_sweep),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("family_id", help=family_help)
+        p.add_argument(bindings, nargs="*", help=bindings_help)
+        p.add_argument("--base", help="base graph file (default: 4-cycle)")
+        p.add_argument("--base2", help="second base graph file (C5_1 only)")
+        add_method(p)
+        add_tol(p)
+        add_output(p, json_output=True)
+        add_input_format(p)
         p.add_argument("--table", action="store_true",
                        help="render a plain-text table instead of JSON")
-
-    p = sub.add_parser("verify", help="verify one family instance")
-    p.add_argument("family_id", help="family id, e.g. C5_4 or C6_2")
-    p.add_argument("params", nargs="*", help="parameter bindings like t=1 m=2 k=-1")
-    p.add_argument("--base", help="base graph file (default: 4-cycle)")
-    p.add_argument("--base2", help="second base graph file (C5_1 only)")
-    add_method(p)
-    add_tol(p)
-    add_output(p, json_output=True)
-    add_input_format(p)
-    add_table(p)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("sweep", help="verify a family over a parameter grid")
-    p.add_argument("family_id", help="family id, e.g. C6_1")
-    p.add_argument("ranges", nargs="*", help="parameter ranges like k=1..5 or k=-1,1")
-    p.add_argument("--base", help="base graph file (default: 4-cycle)")
-    p.add_argument("--base2", help="second base graph file (C5_1 only)")
-    add_method(p)
-    add_tol(p)
-    add_output(p, json_output=True)
-    add_input_format(p)
-    add_table(p)
-    p.set_defaults(fn=cmd_sweep)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("convert", help="convert a graph file between formats")
     p.add_argument("input", help="graph file")

@@ -15,7 +15,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .formulas import known_energy
 from .graphs import (
     Graph,
     OrderCapError,
@@ -26,7 +25,7 @@ from .graphs import (
     max_order,
     star_graph,
 )
-from .operators import OPERATORS, Operator
+from .operators import OPERATORS, Operator, known_energy
 from .spectral import Spectrum, adjacency_spectrum, check_tolerance, verification_tolerance
 
 EQUIENERGETIC = "equienergetic"
@@ -78,13 +77,11 @@ class MemberPlan:
     base: Graph
     base_label: str = "base"
     base_energy_closed: float | None = None
+    order: int = field(init=False)  # dimension of C times the base order, set once
 
     def __post_init__(self):
+        object.__setattr__(self, "order", self.operator.dimension(*self.args) * self.base.order)
         check_order(self.order, self.operator.label_for(self.args))
-
-    @property
-    def order(self) -> int:
-        return self.operator.dimension(*self.args) * self.base.order
 
     @property
     def description(self) -> str:

@@ -7,7 +7,9 @@ Thm 4.2.12) its eigenvalues are the products of those of C and A, so its
 energy is E(C) times the base energy. `OPERATORS` describes every operator
 once: its name, parameters, coefficient matrix and side, the closed-form
 spectrum of C and the energy factor E(C) as the paper states it. The command
-line, the family catalog and the formulas all read that table.
+line and the family catalog read that table. `known_energy` gives the
+closed-form energies of the standard graphs the Kronecker entries multiply
+by, and of the C6 families' bases.
 
 Vertex layout is fixed: all copies of the base graph first, then the
 splitting-vertex sets, with base vertex order preserved inside every block.
@@ -21,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from .formulas import known_energy
 from .graphs import Graph, check_order, complete_bipartite, complete_graph, symmetric_zero_one
 from .spectral import Spectrum
 
@@ -143,6 +144,25 @@ def shadow_split_energy_factor(c: int, k: int) -> float:
     return math.sqrt(c * c + 4 * c * k)
 
 
+def known_energy(family: str, *params: float) -> float:
+    """Closed-form energies of the standard families.
+
+    - "complete" n             -> 2(n - 1)
+    - "complete-bipartite" m n -> 2 sqrt(mn)
+    """
+    if family == "complete":
+        (n,) = params
+        if n < 1:
+            raise ValueError("complete graph needs n >= 1")
+        return 2.0 * (n - 1)
+    if family == "complete-bipartite":
+        m, n = params
+        if m < 1 or n < 1:
+            raise ValueError("complete bipartite graph needs part sizes >= 1")
+        return 2.0 * math.sqrt(m * n)
+    raise ValueError(f"unknown energy family {family!r}")
+
+
 def _split_eigenvalues(p: int, q: int) -> tuple[tuple[float, int], ...]:
     """1 with multiplicity p-1, 0 with multiplicity q-1, and (1 +- sqrt(1 + 4pq)) / 2."""
     _check_parameters("splitting", p=p, q=q)
@@ -204,6 +224,18 @@ class Operator:
                                   **dict(zip(self.params, args)))
 
 
+def _in_domain(op: Operator) -> Operator:
+    """`op` with every closed form rejecting a parameter < 1 before it runs,
+    for an entry whose closed forms do not check their own parameters."""
+    def checked(form: Callable) -> Callable:
+        def form_in_domain(*args: int):
+            _check_parameters(op.name, **dict(zip(op.params, args)))
+            return form(*args)
+        return form_in_domain
+    return replace(op, coefficients=checked(op.coefficients),
+                   eigenvalues=checked(op.eigenvalues), factor=checked(op.factor))
+
+
 # Builders look up the public functions by name when called, so rebinding
 # one (as bench/layers.py does to time it) reaches every caller of the table.
 _KRON_COMPLETE_BIPARTITE = Operator(
@@ -227,21 +259,21 @@ OPERATORS: dict[str, Operator] = {op.name: op for op in (
         shadow_split_energy_factor, lambda g, c, k: shadow_splitting(g, c, k),
         "shadow-splitting(c={c},k={k})",
     ),
-    Operator(
+    _in_domain(Operator(
         "shadow", ("m",), lambda m: CoefficientMatrix(np.ones((m, m), dtype=np.uint8)), True,
         lambda m: ((m, 1), (0, m - 1)),
         lambda m: float(m),
         lambda g, m: m_shadow(g, m),
         "shadow(m={m})",
-    ),
+    )),
     Operator(
         "splitting", ("m",), lambda m: coefficient_matrix_split(1, m), True,
         lambda m: _split_eigenvalues(1, m),
-        lambda m: math.sqrt(1 + 4 * m),
+        lambda m: split_energy_factor(1, m),
         lambda g, m: m_splitting(g, m),
         "splitting(m={m})",
     ),
-    Operator(
+    _in_domain(Operator(
         "kron-complete", ("r",),
         lambda r: CoefficientMatrix(complete_graph(r).adjacency), False,
         lambda r: ((r - 1, 1), (-1, r - 1)),
@@ -249,11 +281,11 @@ OPERATORS: dict[str, Operator] = {op.name: op for op in (
         lambda g, r: kronecker_product(g, complete_graph(r)),
         "kron with complete({r})", "kron of {base} with complete({r})",
         cli=False,
-    ),
-    _KRON_COMPLETE_BIPARTITE,
-    replace(
+    )),
+    _in_domain(_KRON_COMPLETE_BIPARTITE),
+    _in_domain(replace(
         _KRON_COMPLETE_BIPARTITE, name="complete-bipartite-kron", coefficient_first=True,
         build=lambda g, r: kronecker_product(complete_bipartite(r, r), g),
         member="kron of complete-bipartite({r},{r}) with {base}",
-    ),
+    )),
 )}

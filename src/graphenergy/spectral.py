@@ -1,7 +1,8 @@
-"""Dense symmetric spectra and graph energy.
+"""Graph spectra through the false-twin quotient, and graph energy.
 
-The eigensolver delegates to LAPACK (numpy.linalg.eigvalsh). Energy is the
-sum of absolute adjacency eigenvalues.
+The eigensolver takes a Graph and delegates to LAPACK
+(numpy.linalg.eigvalsh). Energy is the sum of absolute adjacency
+eigenvalues.
 
 A graph is eigensolved through its false-twin quotient. Vertices with equal
 adjacency rows are false twins: they are mutually non-adjacent, because the
@@ -33,8 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-
-SYMMETRY_TOLERANCE = 1e-12
 
 
 def verification_tolerance(order: int) -> float:
@@ -105,19 +104,6 @@ class Spectrum:
         return bool(np.max(np.abs(self.values - other.values)) <= tolerance)
 
 
-def _check_square_symmetric(matrix) -> np.ndarray:
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ValueError("matrix dimension must be >= 1")
-    if np.max(np.abs(a - a.T), initial=0.0) > SYMMETRY_TOLERANCE:
-        raise ValueError(
-            f"matrix is not symmetric within {SYMMETRY_TOLERANCE} entrywise"
-        )
-    return a
-
-
 def _twin_quotient(adjacency: np.ndarray) -> tuple[np.ndarray, int]:
     """The float64 matrix to eigensolve for the 0/1 matrix `adjacency`, its
     false-twin quotient (see the module docstring), and the number of zero
@@ -143,24 +129,24 @@ def _twin_quotient(adjacency: np.ndarray) -> tuple[np.ndarray, int]:
     return q, zeros
 
 
-def eigenvalues_symmetric(matrix) -> Spectrum:
-    """All eigenvalues of a real symmetric matrix, or of a Graph's adjacency
-    matrix, sorted descending.
+def eigenvalues_symmetric(g: Graph) -> Spectrum:
+    """All eigenvalues of a Graph's adjacency matrix, sorted descending.
 
-    A Graph is eigensolved through its false-twin quotient, with no symmetry
-    check: its 0/1 matrix was proven exactly symmetric when the Graph was
-    built, and 0 and 1 are exact in float64. Any other matrix is checked to
-    be square and symmetric within SYMMETRY_TOLERANCE.
+    The graph is eigensolved through its false-twin quotient, with no
+    symmetry check: its 0/1 matrix was proven exactly symmetric when the
+    Graph was built, and 0 and 1 are exact in float64. Anything but a Graph
+    raises TypeError.
     """
-    if isinstance(matrix, Graph):
-        a, zeros = _twin_quotient(matrix.adjacency)
-    else:
-        a, zeros = _check_square_symmetric(matrix), 0
+    if not isinstance(g, Graph):
+        raise TypeError(f"expected a Graph, got {type(g).__name__}")
+    a, zeros = _twin_quotient(g.adjacency)
     return Spectrum(np.concatenate([np.linalg.eigvalsh(a), np.zeros(zeros)]))
 
 
 def adjacency_spectrum(g: Graph) -> Spectrum:
     """Spectrum of the adjacency matrix of g."""
+    # a call through the module global: bench/layers.py wraps both names and
+    # its EXPECTED_CALLS needs both spans
     return eigenvalues_symmetric(g)
 
 

@@ -2,7 +2,7 @@
 
 It rotates away one off-diagonal entry at a time in Python, so it is slow but
 shares no code with numpy.linalg.eigvalsh. The spectral tests hold
-`eigenvalues_symmetric` to it.
+`matrix_spectrum` and the library's `adjacency_spectrum` to it.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from graphenergy.spectral import _check_square_symmetric
+from spectral_reference import symmetric_matrix
 
 JACOBI_MAX_SWEEPS = 100
 JACOBI_RELATIVE_THRESHOLD = 1e-12
@@ -24,10 +24,9 @@ def jacobi_eigenvalues(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarra
     falls below 1e-12 * (1 + ||A||_F). Raises RuntimeError if that has not
     happened after `max_sweeps` sweeps; convergence failure is never silent.
 
-    This is the slow, self-contained reference path that the tests hold
-    `eigenvalues_symmetric` to.
+    The input gets the same square/symmetric guard as `matrix_spectrum`.
     """
-    a = _check_square_symmetric(matrix).copy()
+    a = symmetric_matrix(matrix).copy()
     n = a.shape[0]
     if n == 1:
         return a.diagonal().copy()

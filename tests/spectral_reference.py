@@ -1,5 +1,9 @@
 """Spectral test oracles that the library itself does not need.
 
+- `matrix_spectrum`: the eigenvalues of a plain real symmetric matrix, such
+  as a coefficient matrix, by the same LAPACK call the library makes. The
+  library eigensolves only graphs; `symmetric_matrix` is the guard this
+  oracle and the Jacobi solver put in front of any other matrix.
 - `quotient_matrix` / `quotient_matrix_spectrum`: the quotient of a matrix
   under an equitable partition, whose eigenvalues are a subset of the full
   spectrum. The formula tests hold the closed-form coefficient spectra to it.
@@ -7,7 +11,7 @@
   the check that equienergetic members need not be cospectral.
 - `twin_classes` / `twin_quotient_spectrum`: the false-twin quotient built
   row by row and entry by entry, the reference for the library's vectorized
-  quotient in `eigenvalues_symmetric`.
+  quotient in `graphenergy.spectral`.
 """
 
 from __future__ import annotations
@@ -16,14 +20,29 @@ import math
 
 import numpy as np
 
-from graphenergy import (
-    Graph,
-    Spectrum,
-    adjacency_spectrum,
-    eigenvalues_symmetric,
-    verification_tolerance,
-)
+from graphenergy import Graph, Spectrum, adjacency_spectrum, verification_tolerance
 from graphenergy.spectral import check_tolerance
+
+SYMMETRY_TOLERANCE = 1e-12
+
+
+def symmetric_matrix(matrix) -> np.ndarray:
+    """`matrix` as float64, once it is checked to be square, nonempty and
+    symmetric within SYMMETRY_TOLERANCE entrywise."""
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise ValueError("matrix dimension must be >= 1")
+    if np.max(np.abs(a - a.T), initial=0.0) > SYMMETRY_TOLERANCE:
+        raise ValueError(f"matrix is not symmetric within {SYMMETRY_TOLERANCE} entrywise")
+    return a
+
+
+def matrix_spectrum(matrix) -> Spectrum:
+    """All eigenvalues of a real symmetric matrix by numpy's eigvalsh, sorted
+    descending."""
+    return Spectrum(np.linalg.eigvalsh(symmetric_matrix(matrix)))
 
 
 def quotient_matrix(matrix, partition) -> np.ndarray:
@@ -103,5 +122,5 @@ def twin_quotient_spectrum(g: Graph) -> Spectrum:
     for i, ci in enumerate(classes):
         for j, cj in enumerate(classes):
             q[i, j] = int(g.adjacency[ci[0], cj[0]]) * math.sqrt(len(ci)) * math.sqrt(len(cj))
-    values = eigenvalues_symmetric(q).values
+    values = matrix_spectrum(q).values
     return Spectrum(np.concatenate([values, np.zeros(g.order - len(classes))]))

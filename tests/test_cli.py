@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphenergy import (
+    OPERATORS,
     complete_graph,
     cycle_graph,
     decode_graph6,
@@ -105,6 +106,16 @@ class TestConstruct:
 
     def test_bad_arity(self, c4_file, capsys):
         assert main(["construct", "split:2", c4_file]) == 2
+
+    def test_help_names_every_operator_with_its_arity(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # one help line, no hyphen breaks
+        with pytest.raises(SystemExit):
+            main(["construct", "--help"])
+        line = next(t for t in capsys.readouterr().out.splitlines() if "operator spec:" in t)
+        named = {name: len(args.split(",")) if args else 0
+                 for name, _, args in (s.partition(":") for s in line.split("spec:")[1].split())}
+        cli = {op.name: len(op.params) for op in OPERATORS.values() if op.cli}
+        assert named == cli | {"kron": 0}
 
 
 class TestEnergy:

@@ -79,6 +79,19 @@ def test_factor_is_the_energy_of_the_coefficient_matrix(name):
         assert np.max(np.abs(closed.values - dense[::-1])) <= 1e-9 * dim, args
 
 
+@pytest.mark.parametrize("bad", [0, -1])
+@pytest.mark.parametrize("name", PAPER_FACTORS)
+def test_every_closed_form_rejects_a_parameter_below_one(name, bad):
+    op = OPERATORS[name]
+    for position in range(len(op.params)):
+        args = [1] * len(op.params)
+        args[position] = bad
+        for form in (op.coefficients, op.eigenvalues, op.factor, op.dimension,
+                     op.coefficient_spectrum):
+            with pytest.raises(ValueError, match="parameters must be >= 1"):
+                form(*args)
+
+
 @pytest.mark.parametrize("name", PAPER_FACTORS)
 def test_build_is_the_kronecker_product_on_the_recorded_side(name):
     op = OPERATORS[name]

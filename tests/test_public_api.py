@@ -25,7 +25,6 @@ PUBLIC_NAMES = {
     "cycle_graph",
     "decode_graph6",
     "disjoint_union",
-    "eigenvalues_symmetric",
     "empty_graph",
     "encode_graph6",
     "energy",

@@ -16,7 +16,7 @@ from graphenergy import (
     complete_graph,
     cycle_graph,
     disjoint_union,
-    eigenvalues_symmetric,
+    empty_graph,
     energy,
     generalized_splitting,
     m_shadow,
@@ -26,10 +26,11 @@ from graphenergy import (
     structured_spectrum,
     verification_tolerance,
 )
+from graphenergy import spectral
 
 from conftest import random_graphs
 from jacobi_reference import jacobi_eigenvalues
-from spectral_reference import are_cospectral, twin_classes, twin_quotient_spectrum
+from spectral_reference import are_cospectral, matrix_spectrum, twin_classes, twin_quotient_spectrum
 from test_codec_golden import acceptance_corpus
 
 
@@ -43,32 +44,27 @@ class TestEigenvaluesSymmetric:
         expected = [4.0] + [0.0] * 6 + [-4.0]
         assert np.allclose(values, expected, atol=1e-10)
 
-    def test_zero_matrix(self):
-        values = eigenvalues_symmetric(np.zeros((5, 5))).values
+    def test_edgeless_graph(self):
+        values = adjacency_spectrum(empty_graph(5)).values
         assert np.array_equal(values, np.zeros(5))
 
     def test_descending_order(self):
         values = adjacency_spectrum(random_graph(15, 0.4, seed=1)).values
         assert np.all(np.diff(values) <= 0)
 
-    @pytest.mark.parametrize("matrix", [
-        [[0.0, 1.0], [1.0 + 1e-9, 0.0]],
-        np.array([[0, 1], [0, 0]], dtype=np.uint8),
-        np.array([[0.0, 1.0], [1.0 + 1e-11, 0.0]]),
-    ])
-    def test_rejects_asymmetric(self, matrix):
-        with pytest.raises(ValueError, match="matrix is not symmetric"):
-            eigenvalues_symmetric(matrix)
+    def test_takes_only_a_graph(self):
+        with pytest.raises(TypeError, match="expected a Graph, got ndarray"):
+            spectral.eigenvalues_symmetric(np.zeros((2, 2)))
 
     def test_graph_input_matches_its_float_matrix_bit_for_bit(self):
         # a graph with false twins is eigensolved through its quotient, so its
         # reference is the loop-built quotient; a twin-free graph's is its matrix
         twin_free = 0
         for name, g in acceptance_corpus():
-            via_graph = eigenvalues_symmetric(g).values
+            via_graph = adjacency_spectrum(g).values
             if len(twin_classes(g)) == g.order:
                 twin_free += 1
-                reference = eigenvalues_symmetric(g.adjacency.astype(float)).values
+                reference = matrix_spectrum(g.adjacency.astype(float)).values
             else:
                 reference = twin_quotient_spectrum(g).values
                 # the loop-built quotient shares the formula; the full solve does not
@@ -97,14 +93,6 @@ class TestEigenvaluesSymmetric:
         assert values.shape == full.shape
         assert np.max(np.abs(values - full)) <= verification_tolerance(n) / 100
         assert np.count_nonzero(values == 0.0) >= n - m
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            eigenvalues_symmetric(np.zeros((2, 3)))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            eigenvalues_symmetric(np.zeros((0, 0)))
 
     _SQRT2 = math.sqrt(2.0)
     _SQRT3 = math.sqrt(3.0)
@@ -166,6 +154,25 @@ class TestEnergy:
         assert abs(energy(cycle_graph(4)) - 4.0) < 1e-10
 
 
+class TestMatrixSpectrum:
+    @pytest.mark.parametrize("matrix", [
+        [[0.0, 1.0], [1.0 + 1e-9, 0.0]],
+        np.array([[0, 1], [0, 0]], dtype=np.uint8),
+        np.array([[0.0, 1.0], [1.0 + 1e-11, 0.0]]),
+    ])
+    def test_rejects_asymmetric(self, matrix):
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            matrix_spectrum(matrix)
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError, match="square"):
+            matrix_spectrum(np.zeros((2, 3)))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            matrix_spectrum(np.zeros((0, 0)))
+
+
 class TestJacobi:
     def test_matches_lapack_on_random_symmetric(self):
         rng = np.random.default_rng(99)
@@ -173,7 +180,7 @@ class TestJacobi:
             a = rng.standard_normal((n, n))
             a = (a + a.T) / 2
             jac = jacobi_eigenvalues(a)
-            lap = eigenvalues_symmetric(a).values
+            lap = matrix_spectrum(a).values
             assert np.max(np.abs(jac - lap)) < 1e-10
 
     def test_matches_lapack_on_adjacency(self):
@@ -243,7 +250,7 @@ class TestStructuredSpectrum:
     def test_matches_direct_eigensolve_on_split_graph(self):
         g = cycle_graph(4)
         coeff = coefficient_matrix_split(2, 2)
-        product = structured_spectrum(eigenvalues_symmetric(coeff.entries),
+        product = structured_spectrum(matrix_spectrum(coeff.entries),
                                       adjacency_spectrum(g))
         direct = adjacency_spectrum(generalized_splitting(g, 2, 2))
         assert product.matches(direct, 1e-8)
@@ -252,7 +259,7 @@ class TestStructuredSpectrum:
         base = adjacency_spectrum(cycle_graph(4))
         closed = structured_spectrum(OPERATORS["split"].coefficient_spectrum(1, 2), base)
         solved = structured_spectrum(
-            eigenvalues_symmetric(coefficient_matrix_split(1, 2).entries), base)
+            matrix_spectrum(coefficient_matrix_split(1, 2).entries), base)
         assert closed.matches(solved, 1e-12)
 
     def test_kronecker_spectrum_law_small_grid(self):
@@ -262,9 +269,9 @@ class TestStructuredSpectrum:
             m = np.triu(m, 1)
             m = m + m.T + np.diag(rng.integers(0, 2, size=dim))
             for g in random_graphs(3, 10, seed=dim):
-                coeff = eigenvalues_symmetric(CoefficientMatrix(m).entries)
+                coeff = matrix_spectrum(CoefficientMatrix(m).entries)
                 predicted = structured_spectrum(coeff, adjacency_spectrum(g))
-                direct = eigenvalues_symmetric(
+                direct = matrix_spectrum(
                     np.kron(m.astype(float), g.adjacency.astype(float))
                 )
                 assert predicted.matches(direct, 1e-8)
