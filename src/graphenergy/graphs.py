@@ -68,7 +68,16 @@ def symmetric_zero_one(a: np.ndarray, name: str) -> np.ndarray:
             raise ValueError(f"{name} entries must be 0 or 1")
         a = ones
     u = a.astype(np.uint8, order="C")
-    if u.max() > 1 or (a.dtype != np.uint8 and not np.array_equal(u, a)):
+    if a.dtype != np.uint8 and not np.array_equal(u, a):
+        raise ValueError(f"{name} entries must be 0 or 1")
+    return _check_symmetric_zero_one(u, name)
+
+
+def _check_symmetric_zero_one(u: np.ndarray, name: str) -> np.ndarray:
+    """The square uint8 matrix `u` itself, checked to hold only 0/1 entries
+    and to be symmetric, with the messages of `symmetric_zero_one`. The
+    symmetry check holds one boolean temporary, one byte per entry."""
+    if u.max() > 1:
         raise ValueError(f"{name} entries must be 0 or 1")
     if not np.array_equal(u, u.T):
         raise ValueError(f"{name} must be symmetric")
@@ -106,7 +115,25 @@ class Graph:
         if n < 1:
             raise ValueError("graph order must be >= 1")
         check_order(n)
-        a = symmetric_zero_one(a, "adjacency")
+        self._own(symmetric_zero_one(a, "adjacency"))
+
+    @classmethod
+    def _adopt(cls, adjacency: np.ndarray) -> "Graph":
+        """A Graph that stores the fresh C-ordered square uint8 matrix
+        `adjacency` itself, without the copy `Graph(adjacency)` makes.
+
+        For builders that have just made the matrix and hold no other
+        reference to it. It gets the checks of `Graph(...)`, with the same
+        errors: the order cap, 0/1 entries, symmetry and a zero diagonal.
+        The array is made read-only in place.
+        """
+        check_order(adjacency.shape[0])
+        g = object.__new__(cls)
+        g._own(_check_symmetric_zero_one(adjacency, "adjacency"))
+        return g
+
+    def _own(self, a: np.ndarray) -> None:
+        """Check the diagonal of the symmetric 0/1 uint8 matrix `a`, then store it read-only."""
         if np.any(np.diagonal(a) != 0):
             raise ValueError("adjacency must have a zero diagonal (no self-loops)")
         a.setflags(write=False)

@@ -30,24 +30,27 @@ def dumps(obj) -> str:
     return "".join(out) + "\n"
 
 
+# JSON's types; a subclass is written as the first of them it is an instance
+# of, so bool comes before int (bool is an int)
+_JSON_TYPES = (str, type(None), bool, int, float, dict, list, tuple)
+_EXACT_JSON_TYPES = frozenset(_JSON_TYPES)
+
+
 def _write(obj, out: list[str], level: int) -> None:
-    pad = _INDENT * level
-    inner = _INDENT * (level + 1)
-    # scalars are written as json.dumps writes them; bool is an int, so it goes first
-    if isinstance(obj, str):
+    kind = type(obj)
+    if kind not in _EXACT_JSON_TYPES:  # such as numpy's float64, a float
+        kind = next((t for t in _JSON_TYPES if isinstance(obj, t)), None)
+    # scalars are written as json.dumps writes them
+    if kind is str:
         out.append(encode_basestring_ascii(obj))
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
+    elif kind is float:
         out.append(format_float(obj))
-    elif isinstance(obj, dict):
+    elif kind is dict:
         if not obj:
             out.append("{}")
             return
+        pad = _INDENT * level
+        inner = _INDENT * (level + 1)
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
@@ -56,15 +59,23 @@ def _write(obj, out: list[str], level: int) -> None:
             _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(f"{pad}}}")
-    elif isinstance(obj, (list, tuple)):
+    elif kind is list or kind is tuple:
         if not obj:
             out.append("[]")
             return
+        pad = _INDENT * level
+        inner = _INDENT * (level + 1)
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(inner)
             _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(f"{pad}]")
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif obj is None:
+        out.append("null")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")

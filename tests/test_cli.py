@@ -14,7 +14,7 @@ from graphenergy import (
     read_graph_text,
     star_graph,
 )
-from graphenergy import families
+from graphenergy import families, operators
 from graphenergy.cli import build_parser, main
 
 
@@ -353,6 +353,27 @@ class TestParser:
         out, err = capsys.readouterr()
         assert out == ""
         assert "error: --tol: tolerance must be positive and finite" in err
+
+    @pytest.mark.parametrize("exc,detail", [
+        (MemoryError("Unable to allocate 7.45 GiB for an array"),
+         "Unable to allocate 7.45 GiB for an array"),
+        (MemoryError(), "an allocation failed"),
+    ], ids=["numpy-message", "bare"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "C5_4", "p=1", "q=2", "--method", "oracle"],
+        ["energy", "{k3}", "--apply", "split:2,1"],
+        ["construct", "split:2,1", "{k3}"],
+    ], ids=["verify", "energy", "construct"])
+    def test_out_of_memory_exits_2_with_one_line(self, capsys, monkeypatch, k3_file, argv,
+                                                 exc, detail):
+        def build(*args):
+            raise exc
+
+        monkeypatch.setattr(operators, "generalized_splitting", build)
+        assert main([a.format(k3=k3_file) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: out of memory: {detail}\n"
 
     def test_one_parser_serves_every_call(self, capsys):
         build_parser.cache_clear()

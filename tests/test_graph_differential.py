@@ -1,4 +1,5 @@
-"""Differential tests: `Graph.__init__` against the reference validator.
+"""Differential tests: `Graph.__init__`, and the builders' `Graph._adopt`,
+against the reference validator.
 
 For every input the library must accept exactly what the reference accepts
 and store the same read-only, C-ordered uint8 matrix, or raise an exception
@@ -59,10 +60,10 @@ def reference_outcome(data):
 
 
 @st.composite
-def candidates(draw):
-    """A square matrix of one kind's values, often symmetric with a zero
+def candidates(draw, kinds=tuple(POOLS)):
+    """A square matrix of one of `kinds`' values, often symmetric with a zero
     diagonal so that the later checks are reached too."""
-    kind = draw(st.sampled_from(list(POOLS)))
+    kind = draw(st.sampled_from(kinds))
     pool = POOLS[kind]
     n = draw(st.integers(min_value=1, max_value=6))
     value = st.one_of(st.sampled_from(pool[:2]), st.sampled_from(pool))
@@ -119,3 +120,37 @@ def test_the_stored_matrix_is_a_copy():
     g = Graph(a)
     a[0, 1] = 0
     assert g.has_edge(0, 1)
+
+
+# -- the builders' constructor, which keeps the fresh uint8 matrix it is given
+
+def adopted(data) -> np.ndarray:
+    a = np.array(data, dtype=np.uint8, order="C")  # fresh, as a builder's product is
+    stored = Graph._adopt(a).adjacency
+    assert np.shares_memory(stored, a)
+    return stored
+
+
+@settings(max_examples=200, deadline=None)
+@given(candidates(kinds=(np.uint8,)))
+def test_adopted_matrix_has_the_outcome_of_the_reference(data):
+    assert outcome(adopted, data) == reference_outcome(data)
+
+
+@pytest.mark.parametrize("data", [
+    [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+    [[0, 2], [2, 0]],
+    [[0, 1], [0, 0]],
+    [[1, 0], [0, 0]],
+    [[0]],
+    [[1]],
+], ids=["path", "entry-2", "asymmetric", "diagonal-1", "k1", "loop"])
+def test_adopted_matrix_has_the_outcome_of_the_reference_on_each_check(data):
+    assert outcome(adopted, data) == reference_outcome(data)
+
+
+def test_adopted_matrix_has_the_outcome_of_the_reference_over_the_order_cap(monkeypatch):
+    monkeypatch.setenv(MAX_ORDER_ENV_VAR, "2")
+    data = np.zeros((3, 3), dtype=np.uint8)
+    assert outcome(adopted, data) == reference_outcome(data)
+    assert outcome(adopted, data)[0].__name__ == "OrderCapError"

@@ -68,6 +68,12 @@ def test_keys_are_written_as_json_dumps_writes_them(key):
     assert jsonio.dumps({key: 1}) == json.dumps({key: 1}, indent=2) + "\n"
 
 
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_numpy_float64_is_written_as_the_float(x):
+    assert jsonio.dumps(np.float64(x)) == jsonio.dumps(x)
+    assert jsonio.dumps({"x": [np.float64(x)]}) == jsonio.dumps({"x": [x]})
+
+
 @pytest.mark.parametrize("value", [np.int64(1), np.uint8(1), np.bool_(True), b"bytes"],
                          ids=["int64", "uint8", "bool_", "bytes"])
 def test_rejects_scalars_json_does_not_know(value):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphenergy import (
     CoefficientMatrix,
@@ -21,6 +23,7 @@ from graphenergy import (
     shadow_splitting,
 )
 from graphenergy.graphs import MAX_ORDER_ENV_VAR
+from graphenergy.operators import _kron
 
 from conftest import random_graphs
 from neighborhood_reference import ShadowSplitParams, SplitParams, construct_by_neighborhood
@@ -169,7 +172,36 @@ class TestShadow:
                 assert np.array_equal(m_shadow(g, m).adjacency, expected)
 
 
+@st.composite
+def zero_one_squares(draw):
+    """A square 0/1 uint8 matrix of order 1-12: random (rarely symmetric),
+    empty or all ones."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    fill = draw(st.sampled_from(["random", "zeros", "ones"]))
+    if fill != "random":
+        return np.full((n, n), fill == "ones", dtype=np.uint8)
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return np.array(bits, dtype=np.uint8).reshape(n, n)
+
+
+ONE = np.ones((1, 1), dtype=np.uint8)
+P3 = path_graph(3).adjacency
+
+
 class TestKroneckerProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(zero_one_squares(), zero_one_squares())
+    @example(ONE, P3)
+    @example(ONE, ONE)
+    @example(np.zeros((1, 1), dtype=np.uint8), np.triu(np.ones((4, 4), dtype=np.uint8)))
+    def test_kron_is_np_kron_byte_for_byte(self, a, b):
+        # both size orders, so each factor is scattered over the other
+        for x, y in ((a, b), (b, a)):
+            out = _kron(x, y)
+            assert out.dtype == np.uint8 and out.flags.c_contiguous
+            assert out.shape == (x.shape[0] * y.shape[0],) * 2
+            assert out.tobytes() == np.kron(x, y).tobytes()
+
     def test_with_k1_is_empty(self):
         g = cycle_graph(5)
         out = kronecker_product(g, complete_graph(1))
