@@ -42,7 +42,6 @@ from .io import (
 )
 from .operators import (
     OPERATORS,
-    CoefficientMatrix,
     Operator,
     coefficient_matrix_shadow,
     coefficient_matrix_split,
@@ -66,7 +65,6 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientMatrix",
     "FamilySpec",
     "Graph",
     "OPERATORS",

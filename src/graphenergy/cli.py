@@ -162,14 +162,15 @@ def cmd_gen(args) -> int:
 
 def cmd_construct(args) -> int:
     op, op_args = _operator_spec(args.operator)
+    if op is not None and args.with_graph:
+        raise ValueError("--with applies only to kron")
     g = _read_graph(args.input, args.input_format)
-    other = _read_graph(args.with_graph, args.input_format) if args.with_graph else None
     if op is not None:
         result = op.build(g, *op_args)
-    elif other is None:
+    elif not args.with_graph:
         raise ValueError("kron needs a second graph (--with FILE)")
     else:
-        result = kronecker_product(g, other)
+        result = kronecker_product(g, _read_graph(args.with_graph, args.input_format))
     _write_graph(result, args.output, args.format)
     return 0
 
@@ -403,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--tol: {exc}")
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

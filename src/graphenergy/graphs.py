@@ -50,40 +50,6 @@ def check_order(order: int, context: str = "graph") -> None:
         )
 
 
-def symmetric_zero_one(a: np.ndarray, name: str) -> np.ndarray:
-    """A C-ordered uint8 copy of the square matrix `a`, checked to hold only
-    0/1 entries and to be symmetric; a ValueError that names `name` otherwise.
-
-    Boolean and integer input is cast once, and the cast is proven lossless
-    by comparing it with the input, so an entry that wraps (256 becomes 0)
-    is caught; uint8 input is only copied, so it needs no such proof.
-    Validation holds the copy and one boolean temporary, two bytes per
-    entry. Other dtypes (floats, complex numbers, objects) are compared
-    with 0 and 1 by value first, because casting NaN, a complex number or an
-    object to uint8 can warn or raise where the comparison cannot.
-    """
-    if a.dtype.kind not in "biu":
-        ones = a == 1
-        if not (ones | (a == 0)).all():
-            raise ValueError(f"{name} entries must be 0 or 1")
-        a = ones
-    u = a.astype(np.uint8, order="C")
-    if a.dtype != np.uint8 and not np.array_equal(u, a):
-        raise ValueError(f"{name} entries must be 0 or 1")
-    return _check_symmetric_zero_one(u, name)
-
-
-def _check_symmetric_zero_one(u: np.ndarray, name: str) -> np.ndarray:
-    """The square uint8 matrix `u` itself, checked to hold only 0/1 entries
-    and to be symmetric, with the messages of `symmetric_zero_one`. The
-    symmetry check holds one boolean temporary, one byte per entry."""
-    if u.max() > 1:
-        raise ValueError(f"{name} entries must be 0 or 1")
-    if not np.array_equal(u, u.T):
-        raise ValueError(f"{name} must be symmetric")
-    return u
-
-
 def _upper_edges(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the nonzero entries above the diagonal of
     the 0/1 matrix `adjacency`, in row-major order.
@@ -115,7 +81,18 @@ class Graph:
         if n < 1:
             raise ValueError("graph order must be >= 1")
         check_order(n)
-        self._own(symmetric_zero_one(a, "adjacency"))
+        # Non-integer dtypes are compared with 0 and 1 by value first: casting
+        # NaN, a complex number or an object to uint8 can warn or raise. The
+        # cast is then proven lossless, so an entry that wraps (256 to 0) fails.
+        if a.dtype.kind not in "biu":
+            ones = a == 1
+            if not (ones | (a == 0)).all():
+                raise ValueError("adjacency entries must be 0 or 1")
+            a = ones
+        u = a.astype(np.uint8, order="C")
+        if a.dtype != np.uint8 and not np.array_equal(u, a):
+            raise ValueError("adjacency entries must be 0 or 1")
+        self._own(u)
 
     @classmethod
     def _adopt(cls, adjacency: np.ndarray) -> "Graph":
@@ -129,11 +106,19 @@ class Graph:
         """
         check_order(adjacency.shape[0])
         g = object.__new__(cls)
-        g._own(_check_symmetric_zero_one(adjacency, "adjacency"))
+        g._own(adjacency)
         return g
 
     def _own(self, a: np.ndarray) -> None:
-        """Check the diagonal of the symmetric 0/1 uint8 matrix `a`, then store it read-only."""
+        """Check that the square uint8 matrix `a` holds only 0/1 entries, is
+        symmetric and has a zero diagonal, then store it read-only.
+
+        The symmetry check holds one boolean temporary, one byte per entry.
+        """
+        if a.max() > 1:
+            raise ValueError("adjacency entries must be 0 or 1")
+        if not np.array_equal(a, a.T):
+            raise ValueError("adjacency must be symmetric")
         if np.any(np.diagonal(a) != 0):
             raise ValueError("adjacency must have a zero diagonal (no self-loops)")
         a.setflags(write=False)

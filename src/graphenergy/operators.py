@@ -11,6 +11,10 @@ line and the family catalog read that table. `known_energy` gives the
 closed-form energies of the standard graphs the Kronecker entries multiply
 by, and of the C6 families' bases.
 
+A coefficient matrix is a plain uint8 array, like a Graph's adjacency. It
+is not checked on its own: `Graph._adopt` checks the product once, so every
+build peaks at the product plus one boolean temporary.
+
 Vertex layout is fixed: all copies of the base graph first, then the
 splitting-vertex sets, with base vertex order preserved inside every block.
 """
@@ -23,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import Graph, check_order, complete_bipartite, complete_graph, symmetric_zero_one
+from .graphs import Graph, check_order, complete_bipartite, complete_graph
 from .spectral import Spectrum
 
 
@@ -34,44 +38,21 @@ def _check_parameters(operator: str, **params: int) -> None:
         raise ValueError(f"{operator} parameters must be >= 1, got {named}")
 
 
-@dataclass(frozen=True)
-class CoefficientMatrix:
-    """Small symmetric 0/1 block-pattern matrix defining an operator.
-
-    Kronecker-multiplying `entries` (uint8, like a Graph's adjacency) with a
-    base adjacency matrix yields the operator graph's adjacency matrix.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries)
-        if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] < 1:
-            raise ValueError("coefficient matrix must be square and nonempty")
-        e = symmetric_zero_one(e, "coefficient matrix")
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
-
-def coefficient_matrix_split(p: int, q: int) -> CoefficientMatrix:
+def coefficient_matrix_split(p: int, q: int) -> np.ndarray:
     """Block matrix [[I_p, J], [J, 0_q]] of the generalized splitting operator."""
     _check_parameters("splitting", p=p, q=q)
     m = np.ones((p + q, p + q), dtype=np.uint8)
     m[:p, :p] = np.eye(p, dtype=np.uint8)
     m[p:, p:] = 0
-    return CoefficientMatrix(m)
+    return m
 
 
-def coefficient_matrix_shadow(c: int, k: int) -> CoefficientMatrix:
+def coefficient_matrix_shadow(c: int, k: int) -> np.ndarray:
     """Block matrix [[J_c, J], [J, 0_k]] of the shadow-splitting operator."""
     _check_parameters("shadow-splitting", c=c, k=k)
     m = np.ones((c + k, c + k), dtype=np.uint8)
     m[c:, c:] = 0
-    return CoefficientMatrix(m)
+    return m
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -102,7 +83,7 @@ def _kron_graph(name: str, args: tuple[int, ...], g: Graph, context: str) -> Gra
     """kron(C, A) for the table entry `name`; the order is checked before C is built."""
     op = OPERATORS[name]
     check_order(op.dimension(*args) * g.order, context)
-    return Graph._adopt(_kron(op.coefficients(*args).entries, g.adjacency))
+    return Graph._adopt(_kron(op.coefficients(*args), g.adjacency))
 
 
 def generalized_splitting(g: Graph, p: int, q: int) -> Graph:
@@ -216,7 +197,7 @@ class Operator:
 
     name: str
     params: tuple[str, ...]
-    coefficients: Callable[..., CoefficientMatrix]
+    coefficients: Callable[..., np.ndarray]
     coefficient_first: bool
     eigenvalues: Callable[..., tuple[tuple[float, int], ...]]
     factor: Callable[..., float]
@@ -257,7 +238,7 @@ def _in_domain(op: Operator) -> Operator:
 # one (as bench/layers.py does to time it) reaches every caller of the table.
 _KRON_COMPLETE_BIPARTITE = Operator(
     "kron-complete-bipartite", ("r",),
-    lambda r: CoefficientMatrix(complete_bipartite(r, r).adjacency), False,
+    lambda r: complete_bipartite(r, r).adjacency, False,
     lambda r: ((r, 1), (0, 2 * r - 2), (-r, 1)),
     lambda r: known_energy("complete-bipartite", r, r),
     lambda g, r: kronecker_product(g, complete_bipartite(r, r)),
@@ -277,7 +258,7 @@ OPERATORS: dict[str, Operator] = {op.name: op for op in (
         "shadow-splitting(c={c},k={k})",
     ),
     _in_domain(Operator(
-        "shadow", ("m",), lambda m: CoefficientMatrix(np.ones((m, m), dtype=np.uint8)), True,
+        "shadow", ("m",), lambda m: np.ones((m, m), dtype=np.uint8), True,
         lambda m: ((m, 1), (0, m - 1)),
         lambda m: float(m),
         lambda g, m: m_shadow(g, m),
@@ -292,7 +273,7 @@ OPERATORS: dict[str, Operator] = {op.name: op for op in (
     ),
     _in_domain(Operator(
         "kron-complete", ("r",),
-        lambda r: CoefficientMatrix(complete_graph(r).adjacency), False,
+        lambda r: complete_graph(r).adjacency, False,
         lambda r: ((r - 1, 1), (-1, r - 1)),
         lambda r: known_energy("complete", r),
         lambda g, r: kronecker_product(g, complete_graph(r)),

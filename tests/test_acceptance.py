@@ -164,7 +164,7 @@ def test_criterion_2_shadow_split_energy(bases, base_energies, shadow_grid):
 def test_criterion_3_coefficient_spectra():
     for a, b in itertools.product(range(1, 7), repeat=2):
         closed = OPERATORS["split"].coefficient_spectrum(a, b)
-        direct = matrix_spectrum(coefficient_matrix_split(a, b).entries)
+        direct = matrix_spectrum(coefficient_matrix_split(a, b))
         assert closed.matches(direct, 1e-10), ("split", a, b)
         # the rational roots (1 +- sqrt(1+4pq))/2 never collide with 1 or 0,
         # so the multiplicity counts are exact
@@ -174,7 +174,7 @@ def test_criterion_3_coefficient_spectra():
         assert zeros == b - 1
 
         closed = OPERATORS["shadow-split"].coefficient_spectrum(a, b)
-        direct = matrix_spectrum(coefficient_matrix_shadow(a, b).entries)
+        direct = matrix_spectrum(coefficient_matrix_shadow(a, b))
         assert closed.matches(direct, 1e-10), ("shadow", a, b)
         zeros = sum(abs(v) <= 1e-7 for v in direct.values)
         assert zeros == a + b - 2

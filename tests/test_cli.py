@@ -101,6 +101,16 @@ class TestConstruct:
         assert main(["construct", "kron", c4_file]) == 2
         assert "second graph" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["split:2,1", "shadow-split:1,1", "shadow:2",
+                                      "splitting:1"])
+    def test_with_is_refused_for_a_table_operator_before_any_file_is_read(self, tmp_path,
+                                                                          capsys, spec):
+        missing = str(tmp_path / "missing.g6")
+        assert main(["construct", spec, missing, "--with", missing]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --with applies only to kron\n"
+
     def test_unknown_operator(self, c4_file, capsys):
         assert main(["construct", "corona:2", c4_file]) == 2
 
@@ -280,6 +290,12 @@ class TestSweep:
         assert code == 0
         assert sorted(r["verdict"] for r in payload) == ["pass", "pass", "pass", "skipped"]
 
+    def test_a_parameter_too_large_for_a_float_is_an_error_point(self, capsys):
+        code, payload = run_json(capsys, ["sweep", "C5_4", f"p={10 ** 400}", "q=1"])
+        assert code == 1
+        assert [r["verdict"] for r in payload] == ["error"]
+        assert payload[0]["error"] == "OverflowError: int too large to convert to float"
+
     @pytest.mark.parametrize("exc", [
         np.linalg.LinAlgError("Eigenvalues did not converge"),
         RuntimeError("solver crashed"),
@@ -374,6 +390,20 @@ class TestParser:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: out of memory: {detail}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "split:{big},1", "{c4}"],
+        ["energy", "{c4}", "--apply", "shadow-split:1,{big}"],
+        ["verify", "C5_4", "p={big}", "q=1"],
+    ], ids=["construct", "energy", "verify"])
+    def test_a_parameter_too_large_for_a_float_exits_2_with_one_line(self, capsys, c4_file,
+                                                                      argv):
+        # the closed forms take the square root of the parameters before the
+        # order cap is checked, and math.sqrt raises OverflowError
+        assert main([a.format(big=10 ** 400, c4=c4_file) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: int too large to convert to float\n"
 
     def test_one_parser_serves_every_call(self, capsys):
         build_parser.cache_clear()

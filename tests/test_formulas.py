@@ -87,13 +87,13 @@ class TestCoefficientSpectra:
     @pytest.mark.parametrize("p,q", PARAM_GRID)
     def test_split_matches_direct_eigensolve(self, p, q):
         closed = OPERATORS["split"].coefficient_spectrum(p, q)
-        direct = matrix_spectrum(coefficient_matrix_split(p, q).entries)
+        direct = matrix_spectrum(coefficient_matrix_split(p, q))
         assert closed.matches(direct, 1e-10)
 
     @pytest.mark.parametrize("c,k", PARAM_GRID)
     def test_shadow_matches_direct_eigensolve(self, c, k):
         closed = OPERATORS["shadow-split"].coefficient_spectrum(c, k)
-        direct = matrix_spectrum(coefficient_matrix_shadow(c, k).entries)
+        direct = matrix_spectrum(coefficient_matrix_shadow(c, k))
         assert closed.matches(direct, 1e-10)
 
     @pytest.mark.parametrize("p,q", PARAM_GRID)
@@ -166,7 +166,7 @@ class TestKnownEnergies:
 class TestQuotientMatrix:
     def test_shadow_coefficient_two_block_partition(self):
         for c, k in [(1, 1), (2, 3), (4, 2)]:
-            m = coefficient_matrix_shadow(c, k).entries
+            m = coefficient_matrix_shadow(c, k)
             partition = [list(range(c)), list(range(c, c + k))]
             q = quotient_matrix(m, partition)
             assert np.array_equal(q, [[c, k], [c, 0]])
@@ -184,7 +184,7 @@ class TestQuotientMatrix:
 
     def test_quotient_values_in_full_spectrum(self):
         for p, q in [(2, 2), (3, 1), (1, 4)]:
-            m = coefficient_matrix_split(p, q).entries
+            m = coefficient_matrix_split(p, q)
             partition = [list(range(p)), list(range(p, p + q))]
             sub = quotient_matrix_spectrum(m, partition).values
             full = matrix_spectrum(m).values

@@ -10,6 +10,7 @@ literal formula and the sum can differ in the last bit.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,9 +69,12 @@ def test_factor_is_the_papers_formula_exactly(name):
 def test_factor_is_the_energy_of_the_coefficient_matrix(name):
     op = OPERATORS[name]
     for args in grid(op):
-        c = op.coefficients(*args).entries
-        dim = c.shape[0]
-        assert op.dimension(*args) == dim
+        c = op.coefficients(*args)
+        dim = op.dimension(*args)
+        # C is a plain array, checked only through the products built from it
+        assert c.dtype == np.uint8 and c.flags.c_contiguous, args
+        assert c.shape == (dim, dim), args
+        assert c.max() <= 1 and np.array_equal(c, c.T), args
         closed = op.coefficient_spectrum(*args)
         dense = np.linalg.eigvalsh(c.astype(np.float64))
         assert len(closed) == dim
@@ -96,11 +100,25 @@ def test_every_closed_form_rejects_a_parameter_below_one(name, bad):
 def test_build_is_the_kronecker_product_on_the_recorded_side(name):
     op = OPERATORS[name]
     for args in grid(op, top2=4, top1=5):
-        c = op.coefficients(*args).entries
+        c = op.coefficients(*args)
         for g in BASES:
             a = g.adjacency
             want = np.kron(c, a) if op.coefficient_first else np.kron(a, c)
             assert np.array_equal(op.build(g, *args).adjacency, want), (args, g)
+
+
+@pytest.mark.parametrize("c,message", [
+    (np.array([[1, 1], [0, 0]], dtype=np.uint8), "adjacency must be symmetric"),
+    # larger than the base, so `_kron` copies C's values into the product; as
+    # the smaller factor C only names the blocks that get the base, and a 2
+    # there builds the valid graph kron(C != 0, A)
+    (np.full((5, 5), 2, dtype=np.uint8), "adjacency entries must be 0 or 1"),
+], ids=["asymmetric", "entry-2"])
+def test_a_bad_coefficient_matrix_fails_the_check_of_the_built_graph(monkeypatch, c, message):
+    bad = replace(OPERATORS["split"], coefficients=lambda p, q: c.copy())
+    monkeypatch.setitem(OPERATORS, "split", bad)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        OPERATORS["split"].build(cycle_graph(4), 1, 1)
 
 
 @st.composite
@@ -130,7 +148,7 @@ def test_kronecker_product_is_np_kron(g, h):
 def test_every_build_is_np_kron_on_its_recorded_side(g, pair):
     for op in OPERATORS.values():
         args = pair[:len(op.params)]
-        c = op.coefficients(*args).entries
+        c = op.coefficients(*args)
         want = np.kron(c, g.adjacency) if op.coefficient_first else np.kron(g.adjacency, c)
         assert_same_bytes(op.build(g, *args), want)
 

@@ -7,7 +7,6 @@ fails at once.
 import graphenergy
 
 PUBLIC_NAMES = {
-    "CoefficientMatrix",
     "FamilySpec",
     "Graph",
     "OPERATORS",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from graphenergy import (
     OPERATORS,
-    CoefficientMatrix,
     Graph,
     Spectrum,
     adjacency_spectrum,
@@ -250,7 +249,7 @@ class TestStructuredSpectrum:
     def test_matches_direct_eigensolve_on_split_graph(self):
         g = cycle_graph(4)
         coeff = coefficient_matrix_split(2, 2)
-        product = structured_spectrum(matrix_spectrum(coeff.entries),
+        product = structured_spectrum(matrix_spectrum(coeff),
                                       adjacency_spectrum(g))
         direct = adjacency_spectrum(generalized_splitting(g, 2, 2))
         assert product.matches(direct, 1e-8)
@@ -259,7 +258,7 @@ class TestStructuredSpectrum:
         base = adjacency_spectrum(cycle_graph(4))
         closed = structured_spectrum(OPERATORS["split"].coefficient_spectrum(1, 2), base)
         solved = structured_spectrum(
-            matrix_spectrum(coefficient_matrix_split(1, 2).entries), base)
+            matrix_spectrum(coefficient_matrix_split(1, 2)), base)
         assert closed.matches(solved, 1e-12)
 
     def test_kronecker_spectrum_law_small_grid(self):
@@ -269,7 +268,7 @@ class TestStructuredSpectrum:
             m = np.triu(m, 1)
             m = m + m.T + np.diag(rng.integers(0, 2, size=dim))
             for g in random_graphs(3, 10, seed=dim):
-                coeff = matrix_spectrum(CoefficientMatrix(m).entries)
+                coeff = matrix_spectrum(m)
                 predicted = structured_spectrum(coeff, adjacency_spectrum(g))
                 direct = matrix_spectrum(
                     np.kron(m.astype(float), g.adjacency.astype(float))
