@@ -46,7 +46,6 @@ from .operators import (
     coefficient_matrix_shadow,
     coefficient_matrix_split,
     generalized_splitting,
-    known_energy,
     kronecker_product,
     m_shadow,
     m_splitting,
@@ -89,7 +88,6 @@ __all__ = [
     "from_edges",
     "generalized_splitting",
     "instantiate_family",
-    "known_energy",
     "kronecker_product",
     "m_shadow",
     "m_splitting",

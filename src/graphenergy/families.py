@@ -25,7 +25,7 @@ from .graphs import (
     max_order,
     star_graph,
 )
-from .operators import OPERATORS, Operator, known_energy
+from .operators import OPERATORS, Operator
 from .spectral import Spectrum, adjacency_spectrum, check_tolerance, verification_tolerance
 
 EQUIENERGETIC = "equienergetic"
@@ -35,6 +35,10 @@ METHODS = ("formula", "oracle", "both")
 
 # which base graphs a family takes from the caller
 PAIR, SINGLE, NONE = "pair", "single", "none"
+
+
+# E(K_r) = 2(r - 1): the `kron-complete` entry's C is A(K_r), so its factor is E(K_r)
+_complete_energy = OPERATORS["kron-complete"].factor
 
 
 class OutOfDomainError(ValueError):
@@ -329,7 +333,7 @@ def _plan_c5_9(base: Graph, t: int) -> list[MemberPlan]:
 def _plan_c6_1(k: int) -> list[MemberPlan]:
     _domain(k >= 1, f"C6_1 needs k >= 1, got k={k}")
     base = complete_graph(3)
-    closed = known_energy("complete", 3)
+    closed = _complete_energy(3)
     return [
         _member("split", base, k + 1, k, base_label="complete(3)", base_energy_closed=closed),
         _member("split", base, 9 * k + 6, k + 1, base_label="complete(3)",
@@ -342,7 +346,7 @@ def _plan_c6_2(t: int) -> list[MemberPlan]:
     r = 3 * t + 4
     return [
         _member("shadow-split", complete_graph(r), (t + 1) ** 2, t * (2 * t + 1),
-                base_label=f"complete({r})", base_energy_closed=known_energy("complete", r))
+                base_label=f"complete({r})", base_energy_closed=_complete_energy(r))
     ]
 
 
@@ -350,7 +354,7 @@ def _plan_c6_3(t: int) -> list[MemberPlan]:
     _domain(t >= 1, f"C6_3 needs t >= 1, got t={t}")
     small, large = 3 * t + 4, 3 * t + 5
     base = disjoint_union([complete_graph(small)] * t + [complete_graph(large)])
-    closed = t * known_energy("complete", small) + known_energy("complete", large)
+    closed = t * _complete_energy(small) + _complete_energy(large)
     return [
         _member("shadow-split", base, (t + 1) ** 2, t * (2 * t + 1),
                 base_label=f"union({t}*complete({small}), complete({large}))",
@@ -475,7 +479,7 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
             spectrum = member_spectrum(plan)
             spectra.append(spectrum)
             measured = spectrum.energy()
-        target = known_energy("complete", plan.order) if family.kind == BORDERENERGETIC else None
+        target = _complete_energy(plan.order) if family.kind == BORDERENERGETIC else None
         members.append(MemberReport(plan.description, plan.order, predicted, measured, target))
 
     if family.kind == BORDERENERGETIC:

@@ -7,13 +7,15 @@ Thm 4.2.12) its eigenvalues are the products of those of C and A, so its
 energy is E(C) times the base energy. `OPERATORS` describes every operator
 once: its name, parameters, coefficient matrix and side, the closed-form
 spectrum of C and the energy factor E(C) as the paper states it. The command
-line and the family catalog read that table. `known_energy` gives the
-closed-form energies of the standard graphs the Kronecker entries multiply
-by, and of the C6 families' bases.
+line and the family catalog read that table. The Kronecker entries' C is
+A(K_r) or A(K_{r,r}), so their factors are E(K_r) = 2(r - 1) and
+E(K_{r,r}) = 2r, and the family catalog takes the C6 bases' energies and
+targets from the first.
 
-A coefficient matrix is a plain uint8 array, like a Graph's adjacency. It
-is not checked on its own: `Graph._adopt` checks the product once, so every
-build peaks at the product plus one boolean temporary.
+A coefficient matrix is a plain uint8 array, like a Graph's adjacency.
+`_kron` checks the smaller factor of each product to be 0/1, since it only
+names blocks, and `Graph._adopt` checks the product once, so every build
+peaks at the product plus one boolean temporary.
 
 Vertex layout is fixed: all copies of the base graph first, then the
 splitting-vertex sets, with base vertex order preserved inside every block.
@@ -66,15 +68,22 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     60 us against 700 us for the multiply, C87 x K3 33 against 390 us, and
     an order-300 graph x K4 0.6 against 4-5 ms (timeit, 2 vCPU). A 1 x 1
     first factor holding a 1, as in `shadow:1`, is about 1.3x slower.
+
+    The smaller factor only names blocks, so an entry above 1 there would
+    build kron(C != 0, A), a valid graph that no later check could tell
+    apart; it is refused here with `Graph`'s message. The larger factor's
+    values reach the product, where `Graph._adopt` checks them.
     """
     m, n = a.shape[0], b.shape[0]
+    pattern = b if n < m else a
+    if pattern.max() > 1:
+        raise ValueError("adjacency entries must be 0 or 1")
     out = np.zeros((m * n, m * n), dtype=np.uint8)
     blocks = out.reshape(m, n, m, n)  # a view: entry (i*n + p, j*n + q) is [i, p, j, q]
+    r, s = np.nonzero(pattern)
     if n < m:
-        r, s = np.nonzero(b)
         blocks[:, r, :, s] = a
     else:
-        r, s = np.nonzero(a)
         blocks[r, :, s, :] = b
     return out
 
@@ -140,25 +149,6 @@ def shadow_split_energy_factor(c: int, k: int) -> float:
     """Energy multiplier of the shadow-splitting operator: sqrt(c^2 + 4ck)."""
     _check_parameters("shadow-splitting", c=c, k=k)
     return math.sqrt(c * c + 4 * c * k)
-
-
-def known_energy(family: str, *params: float) -> float:
-    """Closed-form energies of the standard families.
-
-    - "complete" n             -> 2(n - 1)
-    - "complete-bipartite" m n -> 2 sqrt(mn)
-    """
-    if family == "complete":
-        (n,) = params
-        if n < 1:
-            raise ValueError("complete graph needs n >= 1")
-        return 2.0 * (n - 1)
-    if family == "complete-bipartite":
-        m, n = params
-        if m < 1 or n < 1:
-            raise ValueError("complete bipartite graph needs part sizes >= 1")
-        return 2.0 * math.sqrt(m * n)
-    raise ValueError(f"unknown energy family {family!r}")
 
 
 def _split_eigenvalues(p: int, q: int) -> tuple[tuple[float, int], ...]:
@@ -240,7 +230,7 @@ _KRON_COMPLETE_BIPARTITE = Operator(
     "kron-complete-bipartite", ("r",),
     lambda r: complete_bipartite(r, r).adjacency, False,
     lambda r: ((r, 1), (0, 2 * r - 2), (-r, 1)),
-    lambda r: known_energy("complete-bipartite", r, r),
+    lambda r: 2.0 * r,  # E(K_{r,r})
     lambda g, r: kronecker_product(g, complete_bipartite(r, r)),
     "kron with complete-bipartite({r},{r})", "kron of {base} with complete-bipartite({r},{r})",
     cli=False,
@@ -275,7 +265,7 @@ OPERATORS: dict[str, Operator] = {op.name: op for op in (
         "kron-complete", ("r",),
         lambda r: complete_graph(r).adjacency, False,
         lambda r: ((r - 1, 1), (-1, r - 1)),
-        lambda r: known_energy("complete", r),
+        lambda r: 2.0 * (r - 1),  # E(K_r)
         lambda g, r: kronecker_product(g, complete_graph(r)),
         "kron with complete({r})", "kron of {base} with complete({r})",
         cli=False,

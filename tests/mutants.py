@@ -1,0 +1,181 @@
+"""Fault injection: each mutant is one known fault that a named test subset must catch.
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py NAME ...   # the named mutants only
+
+For each mutant the script copies `src/` to a temporary directory, replaces
+one exact snippet in one module of the copy, and runs the mutant's tests
+serially against the copy. The mutant is killed when pytest reports a
+failing test (exit status 1). The script exits 1 if any mutant survives, if
+any snippet does not occur exactly once in its module, or if pytest ends any
+other way (a collection error, an interrupt), and 0 when every mutant is
+killed. It uses only the standard library and is not collected by pytest:
+the tier-1 suite it runs is the ground truth, and this checks that the suite
+can fail. A survivor means a test is missing: add the test, keep the mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 900
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: str  # a file under src/graphenergy/
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "complete-energy-2r", "operators.py",
+        "lambda r: 2.0 * (r - 1),  # E(K_r)",
+        "lambda r: 2.0 * r,  # E(K_r)",
+        ("tests/test_operator_table.py::test_factor_is_the_papers_formula_exactly",),
+    ),
+    Mutant(
+        "target-one-order-up", "families.py",
+        "target = _complete_energy(plan.order) if",
+        "target = _complete_energy(plan.order + 1) if",
+        ("tests/test_families.py::TestBorderenergeticVerification",),
+    ),
+    Mutant(
+        "kron-pattern-unchecked", "operators.py",
+        "    if pattern.max() > 1:\n"
+        '        raise ValueError("adjacency entries must be 0 or 1")\n',
+        "",
+        ("tests/test_operator_table.py"
+         "::test_a_bad_coefficient_matrix_fails_the_check_of_the_built_graph",),
+    ),
+    Mutant(
+        "twin-weights-k", "spectral.py",
+        "first, weights = first[order], np.sqrt(counts[order])",
+        "first, weights = first[order], counts[order]",
+        ("tests/test_spectral.py",),
+    ),
+    Mutant(
+        "twin-zeros-dropped", "spectral.py",
+        "np.concatenate([np.linalg.eigvalsh(a), np.zeros(zeros)])",
+        "np.concatenate([np.linalg.eigvalsh(a)])",
+        ("tests/test_spectral.py",),
+    ),
+    Mutant(
+        "twin-counts-unordered", "spectral.py",
+        "first, weights = first[order], np.sqrt(counts[order])",
+        "first, weights = first[order], np.sqrt(counts)",
+        ("tests/test_spectral.py",),
+    ),
+    # faults in the table, the validation and the codecs
+    Mutant(
+        "split-factor-last-bit", "operators.py",
+        "return p - 1 + math.sqrt(1 + 4 * p * q)",
+        "return p - 1 + math.sqrt(1 + 4 * p * q) * (1 + 2 ** -52)",
+        ("tests/test_operator_table.py::test_factor_is_the_papers_formula_exactly",),
+    ),
+    Mutant(
+        "coefficient-first-flipped", "operators.py",
+        '"splitting", ("m",), lambda m: coefficient_matrix_split(1, m), True,',
+        '"splitting", ("m",), lambda m: coefficient_matrix_split(1, m), False,',
+        ("tests/test_operator_table.py",),
+    ),
+    Mutant(
+        "self-loops-allowed", "graphs.py",
+        "if np.any(np.diagonal(a) != 0):",
+        "if False:",
+        ("tests/test_graphs.py",),
+    ),
+    Mutant(
+        "lossy-cast-allowed", "graphs.py",
+        "if a.dtype != np.uint8 and not np.array_equal(u, a):",
+        "if False:",
+        ("tests/test_graph_differential.py",),
+    ),
+    Mutant(
+        "graph6-padding-ignored", "io.py",
+        "if padding and body[-1] & ((1 << padding) - 1):",
+        "if False:",
+        ("tests/test_io.py",),
+    ),
+    # the sweep's memo and its verdicts
+    Mutant(
+        "memo-key-without-args", "families.py",
+        "key = (plan.operator.name, plan.args, plan.base)",
+        "key = (plan.operator.name, plan.base)",
+        ("tests/test_sweep_memo.py",),
+    ),
+    Mutant(
+        "memo-key-by-identity", "families.py",
+        "key = (plan.operator.name, plan.args, plan.base)",
+        "key = (plan.operator.name, plan.args, id(plan.base))",
+        ("tests/test_sweep_memo.py",),
+    ),
+    Mutant(
+        "linalg-error-skipped", "families.py",
+        "except (OutOfDomainError, OrderCapError) as exc:",
+        "except ValueError as exc:",
+        ("tests/test_families.py",),
+    ),
+    Mutant(
+        "infinite-tolerance-accepted", "spectral.py",
+        "if tolerance is not None and not 0 < tolerance < math.inf:",
+        "if tolerance is not None and not 0 < tolerance:",
+        ("tests/test_families.py", "tests/test_cli.py"),
+    ),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived', 'no match' or 'pytest exit N' for one mutant."""
+    with tempfile.TemporaryDirectory(prefix="graphenergy-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "graphenergy" / mutant.module
+        text = path.read_text()
+        if text.count(mutant.snippet) != 1:
+            return "no match"
+        path.write_text(text.replace(mutant.snippet, mutant.replacement))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        status = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S,
+        ).returncode
+    return {0: "survived", 1: "killed"}.get(status, f"pytest exit {status}")
+
+
+def main(argv: list[str]) -> int:
+    known = {m.name: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in known]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [known[name] for name in argv] or list(MUTANTS)
+    start = time.perf_counter()
+    bad = 0
+    for mutant in chosen:
+        t = time.perf_counter()
+        outcome = run(mutant)
+        bad += outcome != "killed"
+        print(f"{mutant.name:28} {outcome:14} {time.perf_counter() - t:6.1f} s", flush=True)
+    print(f"{len(chosen) - bad} of {len(chosen)} killed in "
+          f"{time.perf_counter() - start:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -196,6 +196,19 @@ class TestBorderenergeticVerification:
         assert report.members[0].order == 105
         assert report.members[0].measured_energy == pytest.approx(208.0, abs=1e-8)
 
+    @pytest.mark.parametrize("value", [1, 2, 3])
+    @pytest.mark.parametrize("family_id", ["C6_1", "C6_2", "C6_3"])
+    def test_closed_base_energy_and_target_are_the_eigensolved_ones(self, family_id, value):
+        family = get_family(family_id)
+        (name,) = family.param_names
+        instance = spec(family_id, **{name: value})
+        plans = families._plan(family, instance)
+        report = verify(instance, method="formula")
+        for plan, member in zip(plans, report.members, strict=True):
+            assert abs(plan.base_energy_closed - energy(plan.base)) <= 1e-9 * plan.order
+            target = energy(complete_graph(plan.order))
+            assert abs(member.target_energy - target) <= 1e-9 * plan.order
+
 
 class TestBasePair:
     def test_canonical_pair_is_equienergetic(self):

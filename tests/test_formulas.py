@@ -11,7 +11,6 @@ from graphenergy import (
     cycle_graph,
     energy,
     generalized_splitting,
-    known_energy,
     m_splitting,
     shadow_split_energy_factor,
     shadow_splitting,
@@ -145,22 +144,6 @@ class TestOperatorEnergyAgainstOracle:
                     energy(shadow_splitting(g, a, b))
                     - shadow_split_energy_factor(a, b) * base_energy
                 ) <= tol
-
-
-class TestKnownEnergies:
-    def test_complete(self):
-        assert known_energy("complete", 3) == 4.0
-        assert known_energy("complete", 7) == 12.0
-
-    def test_complete_bipartite(self):
-        assert known_energy("complete-bipartite", 9, 9) == pytest.approx(18.0)
-        assert known_energy("complete-bipartite", 4, 4) == pytest.approx(8.0)
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown energy family"):
-            known_energy("petersen", 1)
-        with pytest.raises(ValueError, match="unknown energy family"):
-            known_energy("shadow", 3)
 
 
 class TestQuotientMatrix:

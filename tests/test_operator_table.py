@@ -109,11 +109,12 @@ def test_build_is_the_kronecker_product_on_the_recorded_side(name):
 
 @pytest.mark.parametrize("c,message", [
     (np.array([[1, 1], [0, 0]], dtype=np.uint8), "adjacency must be symmetric"),
-    # larger than the base, so `_kron` copies C's values into the product; as
-    # the smaller factor C only names the blocks that get the base, and a 2
-    # there builds the valid graph kron(C != 0, A)
+    # larger than the base, so `_kron` copies C's values into the product
     (np.full((5, 5), 2, dtype=np.uint8), "adjacency entries must be 0 or 1"),
-], ids=["asymmetric", "entry-2"])
+    # no larger than the base: C only names the blocks that get the base, so
+    # `_kron` itself refuses the 2, which would build kron(C != 0, A)
+    (np.array([[0, 2], [2, 0]], dtype=np.uint8), "adjacency entries must be 0 or 1"),
+], ids=["asymmetric", "entry-2", "pattern-entry-2"])
 def test_a_bad_coefficient_matrix_fails_the_check_of_the_built_graph(monkeypatch, c, message):
     bad = replace(OPERATORS["split"], coefficients=lambda p, q: c.copy())
     monkeypatch.setitem(OPERATORS, "split", bad)

@@ -31,7 +31,6 @@ PUBLIC_NAMES = {
     "from_edges",
     "generalized_splitting",
     "instantiate_family",
-    "known_energy",
     "kronecker_product",
     "m_shadow",
     "m_splitting",
