@@ -12,7 +12,6 @@ from .families import (
     VerificationReport,
     canonical_equienergetic_pair,
     family_ids,
-    instantiate_family,
     sweep,
     verify,
 )
@@ -24,7 +23,6 @@ from .graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
-    from_edges,
     max_order,
     path_graph,
     random_graph,
@@ -43,15 +41,11 @@ from .io import (
 from .operators import (
     OPERATORS,
     Operator,
-    coefficient_matrix_shadow,
-    coefficient_matrix_split,
     generalized_splitting,
     kronecker_product,
     m_shadow,
     m_splitting,
-    shadow_split_energy_factor,
     shadow_splitting,
-    split_energy_factor,
 )
 from .spectral import (
     Spectrum,
@@ -74,8 +68,6 @@ __all__ = [
     "VerificationReport",
     "adjacency_spectrum",
     "canonical_equienergetic_pair",
-    "coefficient_matrix_shadow",
-    "coefficient_matrix_split",
     "complete_bipartite",
     "complete_graph",
     "cycle_graph",
@@ -85,9 +77,7 @@ __all__ = [
     "encode_graph6",
     "energy",
     "family_ids",
-    "from_edges",
     "generalized_splitting",
-    "instantiate_family",
     "kronecker_product",
     "m_shadow",
     "m_splitting",
@@ -97,9 +87,7 @@ __all__ = [
     "read_edge_list",
     "read_graph_text",
     "read_matrix_market",
-    "shadow_split_energy_factor",
     "shadow_splitting",
-    "split_energy_factor",
     "star_graph",
     "structured_spectrum",
     "sweep",

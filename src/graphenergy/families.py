@@ -415,11 +415,6 @@ def _plan(family: Family, spec: FamilySpec) -> list[MemberPlan]:
     return family.plan(*_bases(family, spec.base, spec.base_pair), **params)
 
 
-def instantiate_family(spec: FamilySpec) -> list[Graph]:
-    """Construct the member graphs of a family instance."""
-    return [plan.build() for plan in _plan(get_family(spec.corollary_id), spec)]
-
-
 def _check_method(method: str) -> None:
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")

@@ -8,7 +8,7 @@ threads. Vertex indices are 0-based everywhere.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -174,22 +174,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, edges={self.edge_count})"
-
-
-def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from an edge list over vertices 0..order-1."""
-    if order < 1:
-        raise ValueError("graph order must be >= 1")
-    check_order(order)
-    a = np.zeros((order, order), dtype=np.uint8)
-    for u, v in edges:
-        if not (0 <= u < order and 0 <= v < order):
-            raise ValueError(f"edge ({u}, {v}) out of range for order {order}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u} is not allowed")
-        a[u, v] = 1
-        a[v, u] = 1
-    return Graph(a)
 
 
 def empty_graph(n: int) -> Graph:

@@ -7,10 +7,13 @@ Thm 4.2.12) its eigenvalues are the products of those of C and A, so its
 energy is E(C) times the base energy. `OPERATORS` describes every operator
 once: its name, parameters, coefficient matrix and side, the closed-form
 spectrum of C and the energy factor E(C) as the paper states it. The command
-line and the family catalog read that table. The Kronecker entries' C is
-A(K_r) or A(K_{r,r}), so their factors are E(K_r) = 2(r - 1) and
-E(K_{r,r}) = 2r, and the family catalog takes the C6 bases' energies and
-targets from the first.
+line and the family catalog read that table. Every parameter must be >= 1:
+`_in_domain` makes that one check for each entry, before its coefficients,
+eigenvalues, factor or build run, and raises the entry's one message, so
+the closed forms and the public builders check nothing themselves. The
+Kronecker entries' C is A(K_r) or A(K_{r,r}), so their factors are
+E(K_r) = 2(r - 1) and E(K_{r,r}) = 2r, and the family catalog takes the C6
+bases' energies and targets from the first.
 
 A coefficient matrix is a plain uint8 array, like a Graph's adjacency.
 `_kron` checks the smaller factor of each product to be 0/1, since it only
@@ -33,25 +36,16 @@ from .graphs import Graph, check_order, complete_bipartite, complete_graph
 from .spectral import Spectrum
 
 
-def _check_parameters(operator: str, **params: int) -> None:
-    """Raise ValueError unless every parameter of the operator is >= 1."""
-    if min(params.values()) < 1:
-        named = ", ".join(f"{name}={value}" for name, value in params.items())
-        raise ValueError(f"{operator} parameters must be >= 1, got {named}")
-
-
-def coefficient_matrix_split(p: int, q: int) -> np.ndarray:
+def _split_coefficients(p: int, q: int) -> np.ndarray:
     """Block matrix [[I_p, J], [J, 0_q]] of the generalized splitting operator."""
-    _check_parameters("splitting", p=p, q=q)
     m = np.ones((p + q, p + q), dtype=np.uint8)
     m[:p, :p] = np.eye(p, dtype=np.uint8)
     m[p:, p:] = 0
     return m
 
 
-def coefficient_matrix_shadow(c: int, k: int) -> np.ndarray:
+def _shadow_split_coefficients(c: int, k: int) -> np.ndarray:
     """Block matrix [[J_c, J], [J, 0_k]] of the shadow-splitting operator."""
-    _check_parameters("shadow-splitting", c=c, k=k)
     m = np.ones((c + k, c + k), dtype=np.uint8)
     m[c:, c:] = 0
     return m
@@ -117,16 +111,12 @@ def shadow_splitting(g: Graph, c: int, k: int) -> Graph:
 
 def m_shadow(g: Graph, m: int) -> Graph:
     """Shadow graph: m fully interconnected copies, adjacency kron(J_m, A)."""
-    if m < 1:
-        raise ValueError(f"shadow multiplicity must be >= 1, got {m}")
     return _kron_graph("shadow", (m,), g, f"shadow graph (m={m})")
 
 
 def m_splitting(g: Graph, m: int) -> Graph:
     """Splitting graph with m splitting sets: one copy of g, m vertex sets."""
-    if m < 1:
-        raise ValueError(f"splitting multiplicity must be >= 1, got {m}")
-    return generalized_splitting(g, 1, m)
+    return _kron_graph("splitting", (m,), g, f"splitting graph (p=1, q={m})")
 
 
 def kronecker_product(g: Graph, h: Graph) -> Graph:
@@ -139,21 +129,18 @@ def kronecker_product(g: Graph, h: Graph) -> Graph:
     return Graph._adopt(_kron(g.adjacency, h.adjacency))
 
 
-def split_energy_factor(p: int, q: int) -> float:
+def _split_factor(p: int, q: int) -> float:
     """Energy multiplier of the generalized splitting operator: p - 1 + sqrt(1 + 4pq)."""
-    _check_parameters("splitting", p=p, q=q)
     return p - 1 + math.sqrt(1 + 4 * p * q)
 
 
-def shadow_split_energy_factor(c: int, k: int) -> float:
+def _shadow_split_factor(c: int, k: int) -> float:
     """Energy multiplier of the shadow-splitting operator: sqrt(c^2 + 4ck)."""
-    _check_parameters("shadow-splitting", c=c, k=k)
     return math.sqrt(c * c + 4 * c * k)
 
 
 def _split_eigenvalues(p: int, q: int) -> tuple[tuple[float, int], ...]:
     """1 with multiplicity p-1, 0 with multiplicity q-1, and (1 +- sqrt(1 + 4pq)) / 2."""
-    _check_parameters("splitting", p=p, q=q)
     root = math.sqrt(1 + 4 * p * q)
     return (1.0, p - 1), (0.0, q - 1), ((1 + root) / 2, 1), ((1 - root) / 2, 1)
 
@@ -161,7 +148,6 @@ def _split_eigenvalues(p: int, q: int) -> tuple[tuple[float, int], ...]:
 def _shadow_split_eigenvalues(c: int, k: int) -> tuple[tuple[float, int], ...]:
     """The matrix has rank 2: c + k - 2 zero eigenvalues plus the two roots
     (c +- sqrt(c^2 + 4ck)) / 2 of its quotient."""
-    _check_parameters("shadow-splitting", c=c, k=k)
     root = math.sqrt(c * c + 4 * c * k)
     return (0.0, c + k - 2), ((c + root) / 2, 1), ((c - root) / 2, 1)
 
@@ -173,6 +159,8 @@ class Operator:
 
     - `name`: the operator's spelling in an operator spec such as `split:2,1`.
     - `params`: the parameter names; their number is the arity.
+    - `domain`: the one message for a parameter < 1, formatted with the
+      parameters by name.
     - `coefficients(*args)`: the coefficient matrix C.
     - `coefficient_first`: True for kron(C, A), False for kron(A, C).
     - `eigenvalues(*args)`: the closed-form spectrum of C, as
@@ -187,6 +175,7 @@ class Operator:
 
     name: str
     params: tuple[str, ...]
+    domain: str
     coefficients: Callable[..., np.ndarray]
     coefficient_first: bool
     eigenvalues: Callable[..., tuple[tuple[float, int], ...]]
@@ -213,21 +202,22 @@ class Operator:
 
 
 def _in_domain(op: Operator) -> Operator:
-    """`op` with every closed form rejecting a parameter < 1 before it runs,
-    for an entry whose closed forms do not check their own parameters."""
-    def checked(form: Callable) -> Callable:
-        def form_in_domain(*args: int):
-            _check_parameters(op.name, **dict(zip(op.params, args)))
+    """`op` with its coefficients, eigenvalues, factor and build raising
+    ValueError(op.domain) for a parameter < 1 before they run."""
+    def checked(form: Callable, skip: int = 0) -> Callable:
+        def form_in_domain(*args):
+            if min(args[skip:]) < 1:
+                raise ValueError(op.domain.format(**dict(zip(op.params, args[skip:]))))
             return form(*args)
         return form_in_domain
-    return replace(op, coefficients=checked(op.coefficients),
-                   eigenvalues=checked(op.eigenvalues), factor=checked(op.factor))
+    return replace(op, coefficients=checked(op.coefficients), eigenvalues=checked(op.eigenvalues),
+                   factor=checked(op.factor), build=checked(op.build, skip=1))
 
 
 # Builders look up the public functions by name when called, so rebinding
 # one (as bench/layers.py does to time it) reaches every caller of the table.
 _KRON_COMPLETE_BIPARTITE = Operator(
-    "kron-complete-bipartite", ("r",),
+    "kron-complete-bipartite", ("r",), "complete-bipartite part size must be >= 1, got r={r}",
     lambda r: complete_bipartite(r, r).adjacency, False,
     lambda r: ((r, 1), (0, 2 * r - 2), (-r, 1)),
     lambda r: 2.0 * r,  # E(K_{r,r})
@@ -236,44 +226,48 @@ _KRON_COMPLETE_BIPARTITE = Operator(
     cli=False,
 )
 
-OPERATORS: dict[str, Operator] = {op.name: op for op in (
+OPERATORS: dict[str, Operator] = {op.name: _in_domain(op) for op in (
     Operator(
-        "split", ("p", "q"), coefficient_matrix_split, True, _split_eigenvalues,
-        split_energy_factor, lambda g, p, q: generalized_splitting(g, p, q),
+        "split", ("p", "q"), "splitting parameters must be >= 1, got p={p}, q={q}",
+        _split_coefficients, True, _split_eigenvalues, _split_factor,
+        lambda g, p, q: generalized_splitting(g, p, q),
         "splitting(p={p},q={q})",
     ),
     Operator(
-        "shadow-split", ("c", "k"), coefficient_matrix_shadow, True, _shadow_split_eigenvalues,
-        shadow_split_energy_factor, lambda g, c, k: shadow_splitting(g, c, k),
+        "shadow-split", ("c", "k"), "shadow-splitting parameters must be >= 1, got c={c}, k={k}",
+        _shadow_split_coefficients, True, _shadow_split_eigenvalues, _shadow_split_factor,
+        lambda g, c, k: shadow_splitting(g, c, k),
         "shadow-splitting(c={c},k={k})",
     ),
-    _in_domain(Operator(
-        "shadow", ("m",), lambda m: np.ones((m, m), dtype=np.uint8), True,
+    Operator(
+        "shadow", ("m",), "shadow multiplicity must be >= 1, got {m}",
+        lambda m: np.ones((m, m), dtype=np.uint8), True,
         lambda m: ((m, 1), (0, m - 1)),
         lambda m: float(m),
         lambda g, m: m_shadow(g, m),
         "shadow(m={m})",
-    )),
+    ),
     Operator(
-        "splitting", ("m",), lambda m: coefficient_matrix_split(1, m), True,
+        "splitting", ("m",), "splitting multiplicity must be >= 1, got {m}",
+        lambda m: _split_coefficients(1, m), True,
         lambda m: _split_eigenvalues(1, m),
-        lambda m: split_energy_factor(1, m),
+        lambda m: _split_factor(1, m),
         lambda g, m: m_splitting(g, m),
         "splitting(m={m})",
     ),
-    _in_domain(Operator(
-        "kron-complete", ("r",),
+    Operator(
+        "kron-complete", ("r",), "complete graph order must be >= 1, got r={r}",
         lambda r: complete_graph(r).adjacency, False,
         lambda r: ((r - 1, 1), (-1, r - 1)),
         lambda r: 2.0 * (r - 1),  # E(K_r)
         lambda g, r: kronecker_product(g, complete_graph(r)),
         "kron with complete({r})", "kron of {base} with complete({r})",
         cli=False,
-    )),
-    _in_domain(_KRON_COMPLETE_BIPARTITE),
-    _in_domain(replace(
+    ),
+    _KRON_COMPLETE_BIPARTITE,
+    replace(
         _KRON_COMPLETE_BIPARTITE, name="complete-bipartite-kron", coefficient_first=True,
         build=lambda g, r: kronecker_product(complete_bipartite(r, r), g),
         member="kron of complete-bipartite({r},{r}) with {base}",
-    )),
+    ),
 )}

@@ -1,7 +1,10 @@
+from collections.abc import Iterable
+
 import numpy as np
 import pytest
 
 from graphenergy import (
+    FamilySpec,
     Graph,
     complete_bipartite,
     complete_graph,
@@ -9,6 +12,8 @@ from graphenergy import (
     path_graph,
     random_graph,
 )
+from graphenergy.families import _plan, get_family
+from graphenergy.graphs import check_order
 
 
 @pytest.fixture
@@ -33,3 +38,24 @@ def random_graphs(count: int, max_order: int, seed: int) -> list[Graph]:
         p = float(rng.uniform(0.1, 0.9))
         out.append(random_graph(n, p, seed=rng))
     return out
+
+
+def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a Graph from an edge list over vertices 0..order-1."""
+    if order < 1:
+        raise ValueError("graph order must be >= 1")
+    check_order(order)
+    a = np.zeros((order, order), dtype=np.uint8)
+    for u, v in edges:
+        if not (0 <= u < order and 0 <= v < order):
+            raise ValueError(f"edge ({u}, {v}) out of range for order {order}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u} is not allowed")
+        a[u, v] = 1
+        a[v, u] = 1
+    return Graph(a)
+
+
+def instantiate_family(spec: FamilySpec) -> list[Graph]:
+    """Construct the member graphs of a family instance."""
+    return [plan.build() for plan in _plan(get_family(spec.corollary_id), spec)]

@@ -86,9 +86,15 @@ MUTANTS = (
     ),
     Mutant(
         "coefficient-first-flipped", "operators.py",
-        '"splitting", ("m",), lambda m: coefficient_matrix_split(1, m), True,',
-        '"splitting", ("m",), lambda m: coefficient_matrix_split(1, m), False,',
+        "lambda m: _split_coefficients(1, m), True,",
+        "lambda m: _split_coefficients(1, m), False,",
         ("tests/test_operator_table.py",),
+    ),
+    Mutant(
+        "domain-check-weakened", "operators.py",
+        "if min(args[skip:]) < 1:",
+        "if min(args[skip:]) < 0:",
+        ("tests/test_operator_table.py::test_every_closed_form_rejects_a_parameter_below_one",),
     ),
     Mutant(
         "self-loops-allowed", "graphs.py",
@@ -107,6 +113,18 @@ MUTANTS = (
         "if padding and body[-1] & ((1 << padding) - 1):",
         "if False:",
         ("tests/test_io.py",),
+    ),
+    Mutant(
+        "duplicate-entries-accepted", "io.py",
+        "if np.count_nonzero(a) == len(i):",
+        "if True:",
+        ("tests/test_io.py", "tests/test_codec_differential.py"),
+    ),
+    Mutant(
+        "edge-self-loop-reaches-graph", "io.py",
+        "(u >= v))",
+        "(u > v))",
+        ("tests/test_io.py", "tests/test_codec_differential.py"),
     ),
     # the sweep's memo and its verdicts
     Mutant(

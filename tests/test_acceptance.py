@@ -17,8 +17,6 @@ from graphenergy import (
     OPERATORS,
     FamilySpec,
     adjacency_spectrum,
-    coefficient_matrix_shadow,
-    coefficient_matrix_split,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -26,18 +24,16 @@ from graphenergy import (
     encode_graph6,
     energy,
     generalized_splitting,
-    instantiate_family,
     m_shadow,
     path_graph,
     random_graph,
-    shadow_split_energy_factor,
     shadow_splitting,
-    split_energy_factor,
     verification_tolerance,
     verify,
 )
 from graphenergy.cli import main as cli_main
 
+from conftest import instantiate_family
 from neighborhood_reference import ShadowSplitParams, SplitParams, construct_by_neighborhood
 from spectral_reference import matrix_spectrum
 
@@ -148,7 +144,7 @@ def _random_instances():
 def test_criterion_1_split_energy(bases, base_energies, split_grid):
     for name, p, q, built in split_grid:
         tol = verification_tolerance(built.order)
-        predicted = split_energy_factor(p, q) * base_energies[name]
+        predicted = OPERATORS["split"].factor(p, q) * base_energies[name]
         assert abs(energy(built) - predicted) <= tol, (name, p, q)
 
 
@@ -156,7 +152,7 @@ def test_criterion_1_split_energy(bases, base_energies, split_grid):
 def test_criterion_2_shadow_split_energy(bases, base_energies, shadow_grid):
     for name, c, k, built in shadow_grid:
         tol = verification_tolerance(built.order)
-        predicted = shadow_split_energy_factor(c, k) * base_energies[name]
+        predicted = OPERATORS["shadow-split"].factor(c, k) * base_energies[name]
         assert abs(energy(built) - predicted) <= tol, (name, c, k)
 
 
@@ -164,7 +160,7 @@ def test_criterion_2_shadow_split_energy(bases, base_energies, shadow_grid):
 def test_criterion_3_coefficient_spectra():
     for a, b in itertools.product(range(1, 7), repeat=2):
         closed = OPERATORS["split"].coefficient_spectrum(a, b)
-        direct = matrix_spectrum(coefficient_matrix_split(a, b))
+        direct = matrix_spectrum(OPERATORS["split"].coefficients(a, b))
         assert closed.matches(direct, 1e-10), ("split", a, b)
         # the rational roots (1 +- sqrt(1+4pq))/2 never collide with 1 or 0,
         # so the multiplicity counts are exact
@@ -174,7 +170,7 @@ def test_criterion_3_coefficient_spectra():
         assert zeros == b - 1
 
         closed = OPERATORS["shadow-split"].coefficient_spectrum(a, b)
-        direct = matrix_spectrum(coefficient_matrix_shadow(a, b))
+        direct = matrix_spectrum(OPERATORS["shadow-split"].coefficients(a, b))
         assert closed.matches(direct, 1e-10), ("shadow", a, b)
         zeros = sum(abs(v) <= 1e-7 for v in direct.values)
         assert zeros == a + b - 2

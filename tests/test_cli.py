@@ -405,6 +405,21 @@ class TestParser:
         assert out == ""
         assert err == "error: int too large to convert to float\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["gen", "union"], "union needs at least one member spec, e.g. complete:7"),
+        (["gen", "union", "complete:1:2"],
+         "generator complete takes 1 size argument(s), got 'complete:1:2'"),
+        (["verify", "C5_4", "p=1", "p=2"], "duplicate parameter 'p'"),
+        (["sweep", "C5_4", "p=1", "p=2", "q=1"], "duplicate parameter 'p'"),
+        (["sweep", "C5_4", "p1..3", "q=1"],
+         "range binding must look like name=RANGE, got 'p1..3'"),
+    ], ids=["union-empty", "union-arity", "verify-duplicate", "sweep-duplicate", "sweep-range"])
+    def test_malformed_arguments_exit_2_with_one_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_one_parser_serves_every_call(self, capsys):
         build_parser.cache_clear()
         try:

@@ -37,12 +37,13 @@ from graphenergy import (
     cycle_graph,
     disjoint_union,
     encode_graph6,
-    instantiate_family,
     path_graph,
     random_graph,
 )
 from graphenergy.cli import main
 from graphenergy.graphs import MAX_ORDER_ENV_VAR
+
+from conftest import instantiate_family
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 

@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codec_reference as reference
+from conftest import instantiate_family
 from graphenergy import (FamilySpec, Graph, adjacency_spectrum, complete_graph,
-                         cycle_graph, empty_graph, generalized_splitting,
-                         instantiate_family, io, random_graph)
+                         cycle_graph, empty_graph, generalized_splitting, io, random_graph)
 
 from test_io import graphs
 

@@ -18,7 +18,6 @@ import pytest
 from graphenergy import (
     encode_graph6,
     generalized_splitting,
-    instantiate_family,
     random_graph,
     read_graph_text,
     shadow_splitting,
@@ -28,6 +27,7 @@ from graphenergy import (
 )
 from graphenergy.cli import main
 
+from conftest import instantiate_family
 from neighborhood_reference import construct_by_neighborhood
 from test_acceptance import PARAM_RANGE, _bases, _family_points, _random_instances
 

@@ -15,16 +15,15 @@ from graphenergy import (
     cycle_graph,
     energy,
     family_ids,
-    instantiate_family,
-    shadow_split_energy_factor,
     shadow_splitting,
-    split_energy_factor,
     sweep,
     verify,
 )
 from graphenergy import families, jsonio
 from graphenergy.families import FAMILIES, get_family
 from graphenergy.graphs import MAX_ORDER_ENV_VAR
+
+from conftest import instantiate_family
 
 
 def spec(corollary_id, base=None, base_pair=None, **params):
@@ -102,6 +101,11 @@ class TestDomains:
         ]:
             with pytest.raises(OutOfDomainError):
                 instantiate_family(FamilySpec(family_id, params))
+
+
+    def test_a_fractional_parameter_is_refused(self):
+        with pytest.raises(ValueError, match=r"^parameter p must be an integer, got 1\.5$"):
+            verify(FamilySpec("C5_4", {"p": 1.5, "q": 1}))
 
 
 class TestEquienergeticVerification:
@@ -313,18 +317,18 @@ class TestPerfectSquareDiscriminants:
             for m in (1, 2):
                 for k in (1, -1):
                     p1 = (5 * t - 2) ** 2 * m + k * (5 * t - 2)
-                    cases.append(split_energy_factor(p1, m))
+                    cases.append(OPERATORS["split"].factor(p1, m))
         for m in (1, 2, 3):
-            cases.append(split_energy_factor(2 * m, 8 * m - 2))
-            cases.append(split_energy_factor(3 * m + 1, 12 * m + 2))
-            cases.append(shadow_split_energy_factor(5 * m + 1, 10 * m + 2))
+            cases.append(OPERATORS["split"].factor(2 * m, 8 * m - 2))
+            cases.append(OPERATORS["split"].factor(3 * m + 1, 12 * m + 2))
+            cases.append(OPERATORS["shadow-split"].factor(5 * m + 1, 10 * m + 2))
         for t in (1, 2, 3):
-            cases.append(shadow_split_energy_factor(10 * t - 4, 20 * t - 8))
-            cases.append(split_energy_factor(6 * t - 2, 24 * t - 10))
-            cases.append(shadow_split_energy_factor((t + 1) ** 2, t * (2 * t + 1)))
+            cases.append(OPERATORS["shadow-split"].factor(10 * t - 4, 20 * t - 8))
+            cases.append(OPERATORS["split"].factor(6 * t - 2, 24 * t - 10))
+            cases.append(OPERATORS["shadow-split"].factor((t + 1) ** 2, t * (2 * t + 1)))
         for k in (1, 2, 3):
-            cases.append(split_energy_factor(k + 1, k))
-            cases.append(split_energy_factor(9 * k + 6, k + 1))
+            cases.append(OPERATORS["split"].factor(k + 1, k))
+            cases.append(OPERATORS["split"].factor(9 * k + 6, k + 1))
         for factor in cases:
             assert abs(factor - round(factor)) < 1e-9
 

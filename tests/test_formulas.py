@@ -6,15 +6,11 @@ import pytest
 
 from graphenergy import (
     OPERATORS,
-    coefficient_matrix_shadow,
-    coefficient_matrix_split,
     cycle_graph,
     energy,
     generalized_splitting,
     m_splitting,
-    shadow_split_energy_factor,
     shadow_splitting,
-    split_energy_factor,
 )
 
 from conftest import random_graphs
@@ -26,38 +22,38 @@ PARAM_GRID = list(itertools.product(range(1, 6), repeat=2))
 class TestEnergyFactors:
     @pytest.mark.parametrize("m,expected", [(1, math.sqrt(5)), (2, 3.0), (6, 5.0)])
     def test_split_single_copy(self, m, expected):
-        assert split_energy_factor(1, m) == pytest.approx(expected)
+        assert OPERATORS["split"].factor(1, m) == pytest.approx(expected)
 
     def test_split_2_1(self):
-        assert split_energy_factor(2, 1) == pytest.approx(4.0)
+        assert OPERATORS["split"].factor(2, 1) == pytest.approx(4.0)
 
     def test_split_factor_18_two_ways(self):
-        assert split_energy_factor(12, 1) == pytest.approx(18.0)
-        assert split_energy_factor(6, 7) == pytest.approx(18.0)
+        assert OPERATORS["split"].factor(12, 1) == pytest.approx(18.0)
+        assert OPERATORS["split"].factor(6, 7) == pytest.approx(18.0)
 
     @pytest.mark.parametrize("c", [1, 2, 5])
     def test_shadow_split_k_equals_2c(self, c):
-        assert shadow_split_energy_factor(c, 2 * c) == pytest.approx(3.0 * c)
+        assert OPERATORS["shadow-split"].factor(c, 2 * c) == pytest.approx(3.0 * c)
 
     def test_shadow_split_2_2(self):
-        assert shadow_split_energy_factor(2, 2) == pytest.approx(math.sqrt(20))
+        assert OPERATORS["shadow-split"].factor(2, 2) == pytest.approx(math.sqrt(20))
 
     def test_shadow_split_4_3(self):
-        assert shadow_split_energy_factor(4, 3) == pytest.approx(8.0)
+        assert OPERATORS["shadow-split"].factor(4, 3) == pytest.approx(8.0)
 
     @pytest.mark.parametrize("p,q", PARAM_GRID)
     def test_split_factor_at_least_one(self, p, q):
-        assert split_energy_factor(p, q) >= 1.0
+        assert OPERATORS["split"].factor(p, q) >= 1.0
 
     @pytest.mark.parametrize("c,k", PARAM_GRID)
     def test_shadow_factor_at_least_one(self, c, k):
-        assert shadow_split_energy_factor(c, k) >= 1.0
+        assert OPERATORS["shadow-split"].factor(c, k) >= 1.0
 
     def test_parameters_validated(self):
         with pytest.raises(ValueError):
-            split_energy_factor(0, 1)
+            OPERATORS["split"].factor(0, 1)
         with pytest.raises(ValueError):
-            shadow_split_energy_factor(1, 0)
+            OPERATORS["shadow-split"].factor(1, 0)
 
 
 class TestCoefficientSpectra:
@@ -86,13 +82,13 @@ class TestCoefficientSpectra:
     @pytest.mark.parametrize("p,q", PARAM_GRID)
     def test_split_matches_direct_eigensolve(self, p, q):
         closed = OPERATORS["split"].coefficient_spectrum(p, q)
-        direct = matrix_spectrum(coefficient_matrix_split(p, q))
+        direct = matrix_spectrum(OPERATORS["split"].coefficients(p, q))
         assert closed.matches(direct, 1e-10)
 
     @pytest.mark.parametrize("c,k", PARAM_GRID)
     def test_shadow_matches_direct_eigensolve(self, c, k):
         closed = OPERATORS["shadow-split"].coefficient_spectrum(c, k)
-        direct = matrix_spectrum(coefficient_matrix_shadow(c, k))
+        direct = matrix_spectrum(OPERATORS["shadow-split"].coefficients(c, k))
         assert closed.matches(direct, 1e-10)
 
     @pytest.mark.parametrize("p,q", PARAM_GRID)
@@ -100,7 +96,7 @@ class TestCoefficientSpectra:
         values = OPERATORS["split"].coefficient_spectrum(p, q).values
         assert values.sum() == pytest.approx(p, abs=1e-12)
         assert (values ** 2).sum() == pytest.approx(p + 2 * p * q, abs=1e-12)
-        assert np.abs(values).sum() == pytest.approx(split_energy_factor(p, q), abs=1e-12)
+        assert np.abs(values).sum() == pytest.approx(OPERATORS["split"].factor(p, q), abs=1e-12)
 
     @pytest.mark.parametrize("c,k", PARAM_GRID)
     def test_shadow_trace_frobenius_and_energy_sums(self, c, k):
@@ -108,7 +104,7 @@ class TestCoefficientSpectra:
         assert values.sum() == pytest.approx(c, abs=1e-12)
         assert (values ** 2).sum() == pytest.approx(c * c + 2 * c * k, abs=1e-12)
         assert np.abs(values).sum() == pytest.approx(
-            shadow_split_energy_factor(c, k), abs=1e-12
+            OPERATORS["shadow-split"].factor(c, k), abs=1e-12
         )
 
     def test_multiplicity_counts(self):
@@ -125,10 +121,10 @@ class TestOperatorEnergyAgainstOracle:
             for p, q in itertools.product(range(1, 4), repeat=2):
                 tol = max(1e-8, (p + q) * g.order * 1e-10)
                 built = generalized_splitting(g, p, q)
-                assert abs(energy(built) - split_energy_factor(p, q) * base_energy) <= tol
+                assert abs(energy(built) - OPERATORS["split"].factor(p, q) * base_energy) <= tol
                 built = shadow_splitting(g, p, q)
                 assert abs(
-                    energy(built) - shadow_split_energy_factor(p, q) * base_energy
+                    energy(built) - OPERATORS["shadow-split"].factor(p, q) * base_energy
                 ) <= tol
 
     def test_parameters_up_to_five(self):
@@ -138,18 +134,18 @@ class TestOperatorEnergyAgainstOracle:
                 tol = max(1e-8, (a + b) * g.order * 1e-10)
                 assert abs(
                     energy(generalized_splitting(g, a, b))
-                    - split_energy_factor(a, b) * base_energy
+                    - OPERATORS["split"].factor(a, b) * base_energy
                 ) <= tol
                 assert abs(
                     energy(shadow_splitting(g, a, b))
-                    - shadow_split_energy_factor(a, b) * base_energy
+                    - OPERATORS["shadow-split"].factor(a, b) * base_energy
                 ) <= tol
 
 
 class TestQuotientMatrix:
     def test_shadow_coefficient_two_block_partition(self):
         for c, k in [(1, 1), (2, 3), (4, 2)]:
-            m = coefficient_matrix_shadow(c, k)
+            m = OPERATORS["shadow-split"].coefficients(c, k)
             partition = [list(range(c)), list(range(c, c + k))]
             q = quotient_matrix(m, partition)
             assert np.array_equal(q, [[c, k], [c, 0]])
@@ -167,7 +163,7 @@ class TestQuotientMatrix:
 
     def test_quotient_values_in_full_spectrum(self):
         for p, q in [(2, 2), (3, 1), (1, 4)]:
-            m = coefficient_matrix_split(p, q)
+            m = OPERATORS["split"].coefficients(p, q)
             partition = [list(range(p)), list(range(p, p + q))]
             sub = quotient_matrix_spectrum(m, partition).values
             full = matrix_spectrum(m).values

@@ -10,14 +10,13 @@ from graphenergy import (
     disjoint_union,
     empty_graph,
     energy,
-    from_edges,
     path_graph,
     random_graph,
     star_graph,
 )
 from graphenergy.graphs import MAX_ORDER_ENV_VAR, OrderCapError, check_order, max_order
 
-from conftest import random_graphs
+from conftest import from_edges, random_graphs
 
 
 def assert_valid(g: Graph):
@@ -102,6 +101,16 @@ class TestGenerators:
     def test_random_graph_reproducible(self):
         assert random_graph(10, 0.5, seed=3) == random_graph(10, 0.5, seed=3)
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: empty_graph(0), "order must be >= 1"),
+        (lambda: path_graph(0), "path graph needs n >= 1"),
+        (lambda: random_graph(0), "order must be >= 1"),
+        (lambda: random_graph(3, 1.5), r"edge_probability must be in \[0, 1\]"),
+    ], ids=["empty", "path", "random-order", "random-probability"])
+    def test_generators_reject_bad_arguments(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
     def test_generators_all_valid(self):
         for g in [complete_graph(5), complete_bipartite(3, 4), cycle_graph(6),
                   path_graph(5), star_graph(3), empty_graph(4)]:
@@ -172,6 +181,16 @@ class TestGraphValidation:
         assert sorted(h.degrees()) == sorted(g.degrees())
         # endpoint 0 moved to label 3
         assert h.degrees()[3] == 1
+
+    def test_relabeled_rejects_a_non_permutation(self):
+        with pytest.raises(ValueError,
+                           match="^relabeling must be a permutation of the vertex set$"):
+            cycle_graph(4).relabeled([0, 0, 1, 2])
+
+    def test_equality_with_a_non_graph_is_not_implemented(self):
+        g = cycle_graph(4)
+        assert g.__eq__(1) is NotImplemented
+        assert g != 1
 
 
 class TestDisjointUnion:

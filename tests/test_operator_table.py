@@ -10,6 +10,7 @@ literal formula and the sum can differ in the last bit.
 
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -24,9 +25,13 @@ from graphenergy import (
     cycle_graph,
     disjoint_union,
     energy,
+    generalized_splitting,
     kronecker_product,
+    m_shadow,
+    m_splitting,
     path_graph,
     random_graph,
+    shadow_splitting,
 )
 
 from conftest import random_graphs
@@ -83,17 +88,39 @@ def test_factor_is_the_energy_of_the_coefficient_matrix(name):
         assert np.max(np.abs(closed.values - dense[::-1])) <= 1e-9 * dim, args
 
 
+# each entry's one message for a parameter < 1, with the parameters filled in
+DOMAIN_MESSAGES = {
+    "split": "splitting parameters must be >= 1, got p={}, q={}",
+    "shadow-split": "shadow-splitting parameters must be >= 1, got c={}, k={}",
+    "shadow": "shadow multiplicity must be >= 1, got {}",
+    "splitting": "splitting multiplicity must be >= 1, got {}",
+    "kron-complete": "complete graph order must be >= 1, got r={}",
+    "kron-complete-bipartite": "complete-bipartite part size must be >= 1, got r={}",
+    "complete-bipartite-kron": "complete-bipartite part size must be >= 1, got r={}",
+}
+
+# the public builder of each entry that has one
+PUBLIC_BUILDERS = {"split": generalized_splitting, "shadow-split": shadow_splitting,
+                   "shadow": m_shadow, "splitting": m_splitting}
+
+
 @pytest.mark.parametrize("bad", [0, -1])
 @pytest.mark.parametrize("name", PAPER_FACTORS)
 def test_every_closed_form_rejects_a_parameter_below_one(name, bad):
     op = OPERATORS[name]
+    g = cycle_graph(4)
+    builders = [op.build] + ([PUBLIC_BUILDERS[name]] if name in PUBLIC_BUILDERS else [])
     for position in range(len(op.params)):
         args = [1] * len(op.params)
         args[position] = bad
+        message = f"^{re.escape(DOMAIN_MESSAGES[name].format(*args))}$"
         for form in (op.coefficients, op.eigenvalues, op.factor, op.dimension,
                      op.coefficient_spectrum):
-            with pytest.raises(ValueError, match="parameters must be >= 1"):
+            with pytest.raises(ValueError, match=message):
                 form(*args)
+        for build in builders:
+            with pytest.raises(ValueError, match=message):
+                build(g, *args)
 
 
 @pytest.mark.parametrize("name", PAPER_FACTORS)

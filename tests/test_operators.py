@@ -7,13 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphenergy import (
+    OPERATORS,
     OrderCapError,
-    coefficient_matrix_shadow,
-    coefficient_matrix_split,
     complete_graph,
     cycle_graph,
     energy,
-    from_edges,
     generalized_splitting,
     kronecker_product,
     m_shadow,
@@ -24,28 +22,28 @@ from graphenergy import (
 from graphenergy.graphs import MAX_ORDER_ENV_VAR
 from graphenergy.operators import _kron
 
-from conftest import random_graphs
+from conftest import from_edges, random_graphs
 from neighborhood_reference import ShadowSplitParams, SplitParams, construct_by_neighborhood
 
 
 class TestCoefficientMatrices:
     def test_split_1_1(self):
-        assert np.array_equal(coefficient_matrix_split(1, 1), [[1, 1], [1, 0]])
+        assert np.array_equal(OPERATORS["split"].coefficients(1, 1), [[1, 1], [1, 0]])
 
     def test_shadow_1_1(self):
-        assert np.array_equal(coefficient_matrix_shadow(1, 1), [[1, 1], [1, 0]])
+        assert np.array_equal(OPERATORS["shadow-split"].coefficients(1, 1), [[1, 1], [1, 0]])
 
     def test_split_2_1(self):
         expected = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
-        assert np.array_equal(coefficient_matrix_split(2, 1), expected)
+        assert np.array_equal(OPERATORS["split"].coefficients(2, 1), expected)
 
     def test_shadow_2_2(self):
         expected = [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]]
-        assert np.array_equal(coefficient_matrix_shadow(2, 2), expected)
+        assert np.array_equal(OPERATORS["shadow-split"].coefficients(2, 2), expected)
 
     @pytest.mark.parametrize("p,q", list(itertools.product(range(1, 5), repeat=2)))
     def test_split_block_structure(self, p, q):
-        m = coefficient_matrix_split(p, q)
+        m = OPERATORS["split"].coefficients(p, q)
         assert m.shape == (p + q, p + q)
         assert np.array_equal(m[:p, :p], np.eye(p, dtype=int))
         assert np.all(m[:p, p:] == 1)
@@ -53,19 +51,19 @@ class TestCoefficientMatrices:
 
     @pytest.mark.parametrize("c,k", list(itertools.product(range(1, 5), repeat=2)))
     def test_shadow_block_structure(self, c, k):
-        m = coefficient_matrix_shadow(c, k)
+        m = OPERATORS["shadow-split"].coefficients(c, k)
         assert np.all(m[:c, :c] == 1)
         assert np.all(m[:c, c:] == 1)
         assert np.all(m[c:, c:] == 0)
 
     def test_params_validated(self):
         with pytest.raises(ValueError, match=r"^splitting parameters must be >= 1, got p=0, q=1$"):
-            coefficient_matrix_split(0, 1)
+            OPERATORS["split"].coefficients(0, 1)
         with pytest.raises(ValueError,
                            match=r"^shadow-splitting parameters must be >= 1, got c=1, k=0$"):
-            coefficient_matrix_shadow(1, 0)
+            OPERATORS["shadow-split"].coefficients(1, 0)
         with pytest.raises(ValueError):
-            coefficient_matrix_split(1, 0)
+            OPERATORS["split"].coefficients(1, 0)
 
 
 class TestGeneralizedSplitting:
@@ -91,7 +89,7 @@ class TestGeneralizedSplitting:
     def test_matches_kron_of_coefficient_matrix(self):
         g = cycle_graph(5)
         built = generalized_splitting(g, 3, 2)
-        kron = np.kron(coefficient_matrix_split(3, 2), g.adjacency)
+        kron = np.kron(OPERATORS["split"].coefficients(3, 2), g.adjacency)
         assert np.array_equal(built.adjacency, kron)
 
     def test_m_splitting_on_k2(self):
@@ -293,11 +291,11 @@ class TestStructuralLaws:
         # sum(kron(M, A)) = sum(M) * sum(A)
         for g in random_graphs(6, 8, seed=19):
             for p, q in [(1, 1), (2, 3), (3, 1)]:
-                m = coefficient_matrix_split(p, q)
+                m = OPERATORS["split"].coefficients(p, q)
                 built = generalized_splitting(g, p, q)
                 assert 2 * built.edge_count == int(m.sum()) * 2 * g.edge_count
             for c, k in [(1, 2), (2, 2), (3, 1)]:
-                m = coefficient_matrix_shadow(c, k)
+                m = OPERATORS["shadow-split"].coefficients(c, k)
                 built = shadow_splitting(g, c, k)
                 assert 2 * built.edge_count == int(m.sum()) * 2 * g.edge_count
 
@@ -306,7 +304,7 @@ class TestStructuralLaws:
         for g in random_graphs(4, 7, seed=29):
             degrees = g.degrees()
             for p, q in [(2, 2), (1, 3)]:
-                m = coefficient_matrix_split(p, q)
+                m = OPERATORS["split"].coefficients(p, q)
                 built = generalized_splitting(g, p, q)
                 built_degrees = built.degrees()
                 for block in range(p + q):

@@ -17,8 +17,6 @@ PUBLIC_NAMES = {
     "VerificationReport",
     "adjacency_spectrum",
     "canonical_equienergetic_pair",
-    "coefficient_matrix_shadow",
-    "coefficient_matrix_split",
     "complete_bipartite",
     "complete_graph",
     "cycle_graph",
@@ -28,9 +26,7 @@ PUBLIC_NAMES = {
     "encode_graph6",
     "energy",
     "family_ids",
-    "from_edges",
     "generalized_splitting",
-    "instantiate_family",
     "kronecker_product",
     "m_shadow",
     "m_splitting",
@@ -40,9 +36,7 @@ PUBLIC_NAMES = {
     "read_edge_list",
     "read_graph_text",
     "read_matrix_market",
-    "shadow_split_energy_factor",
     "shadow_splitting",
-    "split_energy_factor",
     "star_graph",
     "structured_spectrum",
     "sweep",

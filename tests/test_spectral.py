@@ -10,7 +10,6 @@ from graphenergy import (
     Graph,
     Spectrum,
     adjacency_spectrum,
-    coefficient_matrix_split,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -248,7 +247,7 @@ class TestStructuredSpectrum:
 
     def test_matches_direct_eigensolve_on_split_graph(self):
         g = cycle_graph(4)
-        coeff = coefficient_matrix_split(2, 2)
+        coeff = OPERATORS["split"].coefficients(2, 2)
         product = structured_spectrum(matrix_spectrum(coeff),
                                       adjacency_spectrum(g))
         direct = adjacency_spectrum(generalized_splitting(g, 2, 2))
@@ -258,7 +257,7 @@ class TestStructuredSpectrum:
         base = adjacency_spectrum(cycle_graph(4))
         closed = structured_spectrum(OPERATORS["split"].coefficient_spectrum(1, 2), base)
         solved = structured_spectrum(
-            matrix_spectrum(coefficient_matrix_split(1, 2)), base)
+            matrix_spectrum(OPERATORS["split"].coefficients(1, 2)), base)
         assert closed.matches(solved, 1e-12)
 
     def test_kronecker_spectrum_law_small_grid(self):
