@@ -112,9 +112,11 @@ class VerificationReport:
     """Outcome of checking one family instance.
 
     For border-energy families each member is compared against the complete
-    graph of its own order (so `orders_equal` is trivially true and
-    `target_energy` carries 2(order-1)); for equal-energy families the
-    members are compared against each other and `target_energy` is null.
+    graph of its own order, and `target_energy` carries 2(order-1); for
+    equal-energy families the members are compared against each other and
+    `target_energy` is null. `orders_equal` is false when a member the oracle
+    route built has another order than its plan states, and for equal-energy
+    families also when the members' orders differ.
     """
 
     corollary_id: str
@@ -477,8 +479,10 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
         target = _complete_energy(plan.order) if family.kind == BORDERENERGETIC else None
         members.append(MemberReport(plan.description, plan.order, predicted, measured, target))
 
+    # a Spectrum holds one value per vertex of the built graph, quotient zeros included
+    built_as_planned = all(len(s) == plan.order for s, plan in zip(spectra, plans))
     if family.kind == BORDERENERGETIC:
-        orders_equal = True  # each member is matched against K_N of its own order
+        orders_equal = built_as_planned  # each member is matched against K_N of its own order
         energies_equal = all(
             abs(e - m.target_energy) <= tol
             for m in members
@@ -486,7 +490,7 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
             if e is not None
         )
     else:
-        orders_equal = len({m.order for m in members}) == 1
+        orders_equal = built_as_planned and len({m.order for m in members}) == 1
         def route_equal(values):
             present = [v for v in values if v is not None]
             return all(abs(a - b) <= tol for a, b in itertools.combinations(present, 2))

@@ -137,31 +137,6 @@ class Graph:
         """Number of undirected edges."""
         return int(np.count_nonzero(self.adjacency)) // 2
 
-    def degrees(self) -> np.ndarray:
-        """Degree of every vertex, as an int array."""
-        return self.adjacency.sum(axis=1, dtype=np.int64)
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Sorted list of edges as (u, v) pairs with u < v."""
-        rows, cols = _upper_edges(self.adjacency)
-        return list(zip(rows.tolist(), cols.tolist()))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adjacency[u, v])
-
-    def neighbors(self, v: int) -> list[int]:
-        """Sorted neighbor list of vertex v."""
-        return [int(u) for u in np.nonzero(self.adjacency[v])[0]]
-
-    def relabeled(self, permutation: Sequence[int]) -> "Graph":
-        """Graph with vertex i renamed to permutation[i]."""
-        perm = np.asarray(permutation)
-        if sorted(perm.tolist()) != list(range(self.order)):
-            raise ValueError("relabeling must be a permutation of the vertex set")
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(self.order)
-        return Graph(self.adjacency[np.ix_(inverse, inverse)])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

@@ -129,7 +129,7 @@ _SLAB_EDGES = 4096
 
 
 def _edge_lines(g: Graph, base: int, larger_first: bool) -> str:
-    """One "x y" line per edge, in `Graph.edges()` order.
+    """One "x y" line per edge, in row-major upper-triangle order.
 
     Vertices are numbered from `base`; `larger_first` names the larger
     endpoint first. Per-vertex "x " and "y\n" labels sit in fixed-width

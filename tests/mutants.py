@@ -145,6 +145,13 @@ MUTANTS = (
         "except ValueError as exc:",
         ("tests/test_families.py",),
     ),
+    # verdict must fail: the split entry states one base order more than it builds
+    Mutant(
+        "split-closed-spectrum-extra-zero", "operators.py",
+        "(0.0, q - 1)",
+        "(0.0, q)",
+        ("tests/test_families.py::TestBuiltOrder::test_split_points_pass_under_both",),
+    ),
     Mutant(
         "infinite-tolerance-accepted", "spectral.py",
         "if tolerance is not None and not 0 < tolerance < math.inf:",
@@ -183,13 +190,14 @@ def main(argv: list[str]) -> int:
         print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
         return 2
     chosen = [known[name] for name in argv] or list(MUTANTS)
+    width = max(len(mutant.name) for mutant in chosen)
     start = time.perf_counter()
     bad = 0
     for mutant in chosen:
         t = time.perf_counter()
         outcome = run(mutant)
         bad += outcome != "killed"
-        print(f"{mutant.name:28} {outcome:14} {time.perf_counter() - t:6.1f} s", flush=True)
+        print(f"{mutant.name:{width}} {outcome:14} {time.perf_counter() - t:6.1f} s", flush=True)
     print(f"{len(chosen) - bad} of {len(chosen)} killed in "
           f"{time.perf_counter() - start:.1f} s")
     return 1 if bad else 0

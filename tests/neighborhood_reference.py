@@ -77,7 +77,7 @@ def construct_by_neighborhood(g: Graph, params: SplitParams | ShadowSplitParams)
         return (copies + block) * n + i
 
     for i in range(n):
-        for j in g.neighbors(i):
+        for j in np.flatnonzero(g.adjacency[i]).tolist():
             # Copies keep their own edges; shadowed copies also link across
             # all pairs of copies (including back into their own copy).
             for a_block in range(copies):

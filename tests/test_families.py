@@ -1,6 +1,7 @@
 import math
 import re
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -288,6 +289,36 @@ class TestMethods:
         assert report.tolerance == 1e-3
         with pytest.raises(ValueError):
             verify(spec("C5_6"), tolerance=0.0)
+
+
+class TestBuiltOrder:
+    """A member's oracle Spectrum has one value per vertex of the graph it
+    was built from, so the verdict checks that order against the plan's,
+    which comes from the operator's closed spectrum."""
+
+    SPLIT_POINTS = [spec("C5_2", t=1, m=1, k=1), spec("C5_1", p=1, q=2)]
+
+    def test_split_points_pass_under_both(self):
+        for point in self.SPLIT_POINTS:
+            assert verify(point, "both").verdict == "pass"
+
+    def test_a_closed_spectrum_with_one_zero_too_many_fails(self, monkeypatch):
+        split = OPERATORS["split"]
+
+        def one_zero_too_many(p, q):
+            one, _, *roots = split.eigenvalues(p, q)
+            return (one, (0.0, q), *roots)
+
+        monkeypatch.setitem(OPERATORS, "split", replace(split, eigenvalues=one_zero_too_many))
+        borderenergetic = spec("C6_1", k=1)
+        for point in [*self.SPLIT_POINTS, borderenergetic]:
+            for method in ("oracle", "both"):
+                report = verify(point, method)
+                assert (report.verdict, report.orders_equal) == ("fail", False)
+        # the formula route builds no graph, so it has no built order to hold
+        # the plan's against, and the equal-energy members still agree
+        for point in self.SPLIT_POINTS:
+            assert verify(point, "formula").verdict == "pass"
 
 
 class TestCospectralFlags:

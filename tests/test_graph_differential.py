@@ -119,7 +119,7 @@ def test_the_stored_matrix_is_a_copy():
     a = np.array([[0, 1], [1, 0]], dtype=np.uint8)
     g = Graph(a)
     a[0, 1] = 0
-    assert g.has_edge(0, 1)
+    assert g.adjacency[0, 1]
 
 
 # -- the builders' constructor, which keeps the fresh uint8 matrix it is given
