@@ -114,16 +114,23 @@ MUTANTS = (
         "if False:",
         ("tests/test_io.py",),
     ),
+    # the text readers' one-pass parse, then their line loops
     Mutant(
         "duplicate-entries-accepted", "io.py",
-        "if np.count_nonzero(a) == len(i):",
-        "if True:",
+        "if np.count_nonzero(a) != len(i):",
+        "if False:",
         ("tests/test_io.py", "tests/test_codec_differential.py"),
     ),
     Mutant(
         "edge-self-loop-reaches-graph", "io.py",
-        "(u >= v))",
-        "(u > v))",
+        "(j < i)",
+        "(j <= i)",
+        ("tests/test_io.py", "tests/test_codec_differential.py"),
+    ),
+    Mutant(
+        "duplicate-line-accepted", "io.py",
+        "if a[r - 1, c - 1]:",
+        "if False:",
         ("tests/test_io.py", "tests/test_codec_differential.py"),
     ),
     # the sweep's memo and its verdicts
@@ -151,6 +158,17 @@ MUTANTS = (
         "(0.0, q - 1)",
         "(0.0, q)",
         ("tests/test_families.py::TestBuiltOrder::test_split_points_pass_under_both",),
+    ),
+    # verdict must fail: on C5_4's iff manifold the wrong graph has the right
+    # energy, so `verify C5_4 p=P q=4P-2` still exits 0 for P = 1, 2, 3 under
+    # this mutant; the spectrum check of ROADMAP item 2 is to close that gap.
+    # tests/test_operators.py alone lets it survive too (71 pass): it calls
+    # the builders directly, not through the table.
+    Mutant(
+        "split-built-as-shadow", "operators.py",
+        "lambda g, p, q: generalized_splitting(g, p, q),",
+        "lambda g, p, q: m_shadow(g, p + q),",
+        ("tests/test_operator_table.py",),
     ),
     Mutant(
         "infinite-tolerance-accepted", "spectral.py",

@@ -23,6 +23,7 @@ from graphenergy import (
     write_matrix_market,
 )
 
+from graphenergy import io
 from conftest import random_graphs
 
 
@@ -246,6 +247,56 @@ class TestEdgeList:
     def test_rejects_edgeless_without_order(self):
         with pytest.raises(ValueError, match="order"):
             read_edge_list("# just a comment\n")
+
+
+class _LineLoopReached(Exception):
+    pass
+
+
+class TestOnePassParse:
+    """Writer output must be built by the one-pass parse. A parse that left
+    every block to the line loops would pass every other test, and make a
+    read of an order-400 graph over ten times slower."""
+
+    @pytest.fixture(autouse=True)
+    def no_line_loops(self, monkeypatch):
+        def reached(*args):
+            raise _LineLoopReached
+        monkeypatch.setattr(io, "_matrix_market_lines", reached)
+        monkeypatch.setattr(io, "_edge_list_lines", reached)
+
+    @pytest.mark.parametrize(
+        "g",
+        [g for g in GENERATOR_SAMPLES if g.edge_count]
+        + [g for g in random_graphs(20, 30, seed=404) if g.edge_count],
+        ids=repr,
+    )
+    def test_writer_output_skips_the_line_loops(self, g):
+        assert read_matrix_market(write_matrix_market(g)) == g
+        assert read_edge_list(write_edge_list(g)) == g
+
+    @pytest.mark.parametrize("entries", [
+        "3 3 2\n2 1\n2 1\n",  # a duplicated line
+        "3 3 2\n2 1\n1 3\n",  # a swapped pair
+        "3 3 2\n2 1\n4 1\n",  # an out-of-range index
+        "3 3 2\n2 1\n2 0\n",  # a zero index
+        "3 3 3\n2 1\n3 1\n",  # an entry count that does not match
+    ])
+    def test_invalid_digit_blocks_reach_the_matrix_market_loop(self, entries):
+        with pytest.raises(_LineLoopReached):
+            read_matrix_market("%%MatrixMarket matrix coordinate pattern symmetric\n" + entries)
+
+    @pytest.mark.parametrize("text", [
+        "# order 3\n0 1\n0 1\n",  # a duplicated line
+        "# order 3\n0 1\n2 1\n",  # a swapped pair
+        "# order 3\n0 1\n1 1\n",  # a self-loop
+        "# order 3\n0 1\n0 3\n",  # an out-of-range index
+        "# order 0\n",  # an order below one
+        "# no order\n",  # an edgeless list with no order to infer
+    ])
+    def test_invalid_digit_blocks_reach_the_edge_list_loop(self, text):
+        with pytest.raises(_LineLoopReached):
+            read_edge_list(text)
 
 
 @pytest.mark.parametrize("fmt", ["graph6", "mtx", "edges"])
