@@ -13,8 +13,6 @@ import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import families, jsonio
 from .graphs import (
     Graph,
@@ -241,7 +239,7 @@ def cmd_spectrum(args) -> int:
                                          adjacency_spectrum(base))
         formula = _spectrum_dict(structured, tol)
     if args.method == "both":
-        max_delta = float(np.max(np.abs(structured.values - oracle_spectrum.values)))
+        max_delta = structured.max_delta(oracle_spectrum)
         within = max_delta <= tol
 
     report = {

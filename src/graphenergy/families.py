@@ -434,9 +434,10 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
     once otherwise; it never eigensolves a constructed member.
 
     Eigensolved results go into `_memo`, a fresh dict unless `sweep` hands
-    in the one its grid points share. It maps a base Graph to its energy
+    in the one its grid points share. It maps a base Graph to its Spectrum
     and (operator name, args, base Graph) to the member's Spectrum; a Graph
     key compares by content, so a base rebuilt at every point still hits.
+    A failed eigensolve stores nothing.
     """
     _check_method(method)
     check_tolerance(tolerance)
@@ -448,17 +449,10 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
 
     memo = {} if _memo is None else _memo
 
-    def oracle_base_energy(base: Graph) -> float:
-        energy = memo.get(base)
-        if energy is None:
-            energy = memo[base] = adjacency_spectrum(base).energy()
-        return energy
-
-    def member_spectrum(plan: MemberPlan) -> Spectrum:
-        key = (plan.operator.name, plan.args, plan.base)
+    def solved(key, build: Callable[[], Graph]) -> Spectrum:
         spectrum = memo.get(key)
         if spectrum is None:
-            spectrum = memo[key] = adjacency_spectrum(plan.build())
+            spectrum = memo[key] = adjacency_spectrum(build())
         return spectrum
 
     members: list[MemberReport] = []
@@ -466,42 +460,32 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
     for plan in plans:
         predicted = measured = None
         if method in ("formula", "both"):
-            base_energy = (
-                plan.base_energy_closed
-                if plan.base_energy_closed is not None
-                else oracle_base_energy(plan.base)
-            )
+            base_energy = plan.base_energy_closed
+            if base_energy is None:
+                base_energy = solved(plan.base, lambda: plan.base).energy()
             predicted = plan.operator.factor(*plan.args) * base_energy
         if method in ("oracle", "both"):
-            spectrum = member_spectrum(plan)
+            spectrum = solved((plan.operator.name, plan.args, plan.base), plan.build)
             spectra.append(spectrum)
             measured = spectrum.energy()
         target = _complete_energy(plan.order) if family.kind == BORDERENERGETIC else None
         members.append(MemberReport(plan.description, plan.order, predicted, measured, target))
 
-    # a Spectrum holds one value per vertex of the built graph, quotient zeros included
-    built_as_planned = all(len(s) == plan.order for s, plan in zip(spectra, plans))
-    if family.kind == BORDERENERGETIC:
-        orders_equal = built_as_planned  # each member is matched against K_N of its own order
-        energies_equal = all(
-            abs(e - m.target_energy) <= tol
-            for m in members
-            for e in (m.predicted_energy, m.measured_energy)
-            if e is not None
-        )
-    else:
-        orders_equal = built_as_planned and len({m.order for m in members}) == 1
-        def route_equal(values):
-            present = [v for v in values if v is not None]
-            return all(abs(a - b) <= tol for a, b in itertools.combinations(present, 2))
-        energies_equal = (
-            route_equal([m.predicted_energy for m in members])
-            and route_equal([m.measured_energy for m in members])
-        )
-    if method == "both":
-        energies_equal = energies_equal and all(
-            abs(m.predicted_energy - m.measured_energy) <= tol for m in members
-        )
+    # every value present in a group must agree with every other within tol: a
+    # member's routes and its target, and an equal-energy family's members per route
+    groups = [(m.target_energy, m.predicted_energy, m.measured_energy) for m in members]
+    if family.kind == EQUIENERGETIC:
+        groups += [[m.predicted_energy for m in members], [m.measured_energy for m in members]]
+    energies_equal = all(
+        abs(a - b) <= tol
+        for group in groups
+        for a, b in itertools.combinations([v for v in group if v is not None], 2)
+    )
+    # a Spectrum holds one value per vertex of the built graph, quotient zeros
+    # included; a borderenergetic member is matched against K_N of its own order
+    orders_equal = all(len(s) == plan.order for s, plan in zip(spectra, plans)) and (
+        family.kind == BORDERENERGETIC or len({plan.order for plan in plans}) == 1
+    )
 
     cospectral = [
         {"pair": [i, j], "cospectral": spectra[i].matches(spectra[j], tol)}
@@ -544,7 +528,7 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
 
     One sweep call does each piece of work once: the base graphs are
     resolved once for every point, and the points share one memo of base
-    energies and member spectra (see `verify`), so a member or base that
+    and member spectra (see `verify`), so a member or base that
     recurs across the grid is eigensolved once. A failed eigensolve is not
     memoized. Nothing is shared across sweep calls.
     """
@@ -562,7 +546,7 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
         if not seq:
             raise ValueError(f"empty range for parameter {name!r}")
         values.append(seq)
-    grid = list(itertools.product(*values)) if values else [()]
+    grid = itertools.product(*values)  # one empty point for a family without parameters
     # a wrong kind of base or a malformed cap setting fails the sweep, not each point
     bases = _bases(family, base, base_pair)
     if family.base == SINGLE:

@@ -97,11 +97,15 @@ class Spectrum:
         groups.append((head, count))
         return groups
 
+    def max_delta(self, other: "Spectrum") -> float:
+        """Largest elementwise |difference| from a spectrum of the same length."""
+        if len(self) != len(other):
+            raise ValueError(f"spectra of lengths {len(self)} and {len(other)} do not pair up")
+        return float(np.max(np.abs(self.values - other.values)))
+
     def matches(self, other: "Spectrum", tolerance: float) -> bool:
         """True iff both spectra have equal length and agree elementwise."""
-        if len(self) != len(other):
-            return False
-        return bool(np.max(np.abs(self.values - other.values)) <= tolerance)
+        return len(self) == len(other) and self.max_delta(other) <= tolerance
 
 
 def _twin_quotient(adjacency: np.ndarray) -> tuple[np.ndarray, int]:

@@ -136,14 +136,14 @@ MUTANTS = (
     # the sweep's memo and its verdicts
     Mutant(
         "memo-key-without-args", "families.py",
-        "key = (plan.operator.name, plan.args, plan.base)",
-        "key = (plan.operator.name, plan.base)",
+        "solved((plan.operator.name, plan.args, plan.base), plan.build)",
+        "solved((plan.operator.name, plan.base), plan.build)",
         ("tests/test_sweep_memo.py",),
     ),
     Mutant(
         "memo-key-by-identity", "families.py",
-        "key = (plan.operator.name, plan.args, plan.base)",
-        "key = (plan.operator.name, plan.args, id(plan.base))",
+        "solved((plan.operator.name, plan.args, plan.base), plan.build)",
+        "solved((plan.operator.name, plan.args, id(plan.base)), plan.build)",
         ("tests/test_sweep_memo.py",),
     ),
     Mutant(
@@ -151,6 +151,25 @@ MUTANTS = (
         "except (OutOfDomainError, OrderCapError) as exc:",
         "except ValueError as exc:",
         ("tests/test_families.py",),
+    ),
+    # each check of the verdict, dropped on its own
+    Mutant(
+        "border-target-unchecked", "families.py",
+        "groups = [(m.target_energy, m.predicted_energy, m.measured_energy) for m in members]",
+        "groups = [(m.predicted_energy, m.measured_energy) for m in members]",
+        ("tests/test_families.py::TestEachCheckCanFail",),
+    ),
+    Mutant(
+        "both-routes-unchecked", "families.py",
+        "groups = [(m.target_energy, m.predicted_energy, m.measured_energy) for m in members]",
+        "groups = [(m.target_energy, m.predicted_energy) for m in members]",
+        ("tests/test_families.py::TestEachCheckCanFail",),
+    ),
+    Mutant(
+        "member-orders-unchecked", "families.py",
+        "family.kind == BORDERENERGETIC or len({plan.order for plan in plans}) == 1",
+        "True",
+        ("tests/test_families.py::TestEachCheckCanFail",),
     ),
     # verdict must fail: the split entry states one base order more than it builds
     Mutant(

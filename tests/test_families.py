@@ -11,9 +11,11 @@ from graphenergy import (
     FamilySpec,
     OrderCapError,
     OutOfDomainError,
+    Spectrum,
     canonical_equienergetic_pair,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     energy,
     family_ids,
     shadow_splitting,
@@ -21,7 +23,7 @@ from graphenergy import (
     verify,
 )
 from graphenergy import families, jsonio
-from graphenergy.families import FAMILIES, get_family
+from graphenergy.families import FAMILIES, METHODS, get_family
 from graphenergy.graphs import MAX_ORDER_ENV_VAR
 
 from conftest import instantiate_family
@@ -319,6 +321,52 @@ class TestBuiltOrder:
         # the plan's against, and the equal-energy members still agree
         for point in self.SPLIT_POINTS:
             assert verify(point, "formula").verdict == "pass"
+
+
+class TestEachCheckCanFail:
+    """A fault that only one of the verdict's checks sees still fails the
+    verdict: the route agreement of `both`, a borderenergetic target on
+    each route, and the equal orders of equienergetic members."""
+
+    @pytest.fixture
+    def split_factor_off(self, monkeypatch):
+        # the split entry's closed energy factor, wrong in its 7th digit
+        split = OPERATORS["split"]
+        monkeypatch.setitem(OPERATORS, "split", replace(
+            split, factor=lambda p, q: split.factor(p, q) * (1 + 1e-6)))
+
+    def test_only_both_holds_the_routes_against_each_other(self, split_factor_off):
+        point = spec("C5_1", p=1, q=2)
+        # both members carry the same wrong factor, so each route agrees with itself
+        for method in ("formula", "oracle"):
+            assert verify(point, method).passed
+        report = verify(point, "both")
+        assert (report.verdict, report.orders_equal) == ("fail", True)
+
+    def test_a_wrong_factor_misses_the_target(self, split_factor_off):
+        report = verify(spec("C6_1", k=1), "formula")
+        assert (report.verdict, report.energies_equal) == ("fail", False)
+
+    def test_a_wrong_eigensolve_misses_the_target(self, monkeypatch):
+        solve = families.adjacency_spectrum
+        monkeypatch.setattr(families, "adjacency_spectrum",
+                            lambda g: Spectrum(solve(g).values * (1 + 1e-6)))
+        report = verify(spec("C6_1", k=1), "oracle")
+        assert (report.verdict, report.energies_equal) == ("fail", False)
+
+    def test_equal_energies_at_unequal_orders_fail(self, monkeypatch):
+        # E(base + K1) = E(base), so the members agree in energy at orders 12 and 15
+        def plan(base):
+            padded = disjoint_union([base, complete_graph(1)])
+            return [families._member("split", base, 2, 1),
+                    families._member("split", padded, 2, 1)]
+
+        monkeypatch.setitem(FAMILIES, "C5_6", replace(FAMILIES["C5_6"], plan=plan))
+        for method in METHODS:
+            report = verify(spec("C5_6"), method)
+            assert (report.verdict, report.orders_equal, report.energies_equal) == (
+                "fail", False, True)
+            assert [m.order for m in report.members] == [12, 15]
 
 
 class TestCospectralFlags:

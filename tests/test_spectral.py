@@ -238,6 +238,13 @@ class TestSpectrumType:
     def test_matches_requires_same_length(self):
         assert not Spectrum(np.array([1.0])).matches(Spectrum(np.array([1.0, 0.0])), 1.0)
 
+    def test_max_delta_pairs_values_in_order(self):
+        a = Spectrum(np.array([2.0, 0.0, -1.0]))
+        assert a.max_delta(Spectrum(np.array([1.5, 0.25, -1.0]))) == 0.5
+        # a length-1 spectrum would broadcast against any other
+        with pytest.raises(ValueError, match="lengths 3 and 1 do not pair up"):
+            a.max_delta(Spectrum(np.array([2.0])))
+
 
 class TestStructuredSpectrum:
     def test_zero_base_gives_zeros(self):

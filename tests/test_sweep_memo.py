@@ -1,7 +1,7 @@
 """A sweep shares eigensolves across its grid points, and nothing else changes.
 
 `families.sweep` resolves the base graphs once and hands one memo of base
-energies and member spectra to every point's `verify`. The reports must be
+and member spectra to every point's `verify`. The reports must be
 byte for byte those of one `verify` per point, on every family and method,
 so that a memo key collision shows up as a changed report. The memo lives
 for one sweep call only, and a failed eigensolve is not remembered.
