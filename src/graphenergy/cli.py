@@ -25,7 +25,8 @@ from .graphs import (
 )
 from .io import FORMATS, read_graph_text, write_graph_text
 from .operators import OPERATORS, Operator, kronecker_product
-from .operators import generalized_splitting  # noqa: F401  (bench/layers.py rebinds it here)
+# unused here, but bench/tests/test_bench_spans.py reads cli.generalized_splitting
+from .operators import generalized_splitting  # noqa: F401
 from .spectral import (
     Spectrum,
     adjacency_spectrum,

@@ -524,7 +524,8 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
     lost to the serial loop in 10 of 10 alternating 30 s pairs of
     `bench/run.py` on sweep-grid (2 CPUs, see CHANGES.md), because each
     point is mostly Python that holds the interpreter lock. `jobs` is
-    ignored and kept only for callers that still pass it.
+    ignored and kept only because bench/tests/test_bench_oracle.py passes
+    `jobs=1`.
 
     One sweep call does each piece of work once: the base graphs are
     resolved once for every point, and the points share one memo of base

@@ -20,14 +20,9 @@ def format_float(x: float) -> str:
     return text
 
 
-_INDENT = "  "
-
-
 def dumps(obj) -> str:
     """Serialize nested dicts/lists/scalars to JSON text, indented two spaces."""
-    out: list[str] = []
-    _write(obj, out, 0)
-    return "".join(out) + "\n"
+    return _text(obj, "") + "\n"
 
 
 # JSON's types; a subclass is written as the first of them it is an instance
@@ -36,46 +31,34 @@ _JSON_TYPES = (str, type(None), bool, int, float, dict, list, tuple)
 _EXACT_JSON_TYPES = frozenset(_JSON_TYPES)
 
 
-def _write(obj, out: list[str], level: int) -> None:
+def _text(obj, pad: str) -> str:
+    """The JSON text of `obj` on a line indented by `pad`; its items go two spaces deeper."""
     kind = type(obj)
     if kind not in _EXACT_JSON_TYPES:  # such as numpy's float64, a float
         kind = next((t for t in _JSON_TYPES if isinstance(obj, t)), None)
     # scalars are written as json.dumps writes them
     if kind is str:
-        out.append(encode_basestring_ascii(obj))
-    elif kind is float:
-        out.append(format_float(obj))
-    elif kind is dict:
-        if not obj:
-            out.append("{}")
-            return
-        pad = _INDENT * level
-        inner = _INDENT * (level + 1)
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(f"{inner}{encode_basestring_ascii(key)}: ")
-            _write(value, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(f"{pad}}}")
+        return encode_basestring_ascii(obj)
+    if kind is float:
+        return format_float(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    inner = pad + "  "
+    if kind is dict:
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = [f"{encode_basestring_ascii(key)}: {_text(value, inner)}"
+                 for key, value in obj.items()]
+        brackets = "{}"
     elif kind is list or kind is tuple:
-        if not obj:
-            out.append("[]")
-            return
-        pad = _INDENT * level
-        inner = _INDENT * (level + 1)
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(inner)
-            _write(value, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(f"{pad}]")
-    elif kind is bool:
-        out.append("true" if obj else "false")
-    elif kind is int:
-        out.append(int.__repr__(obj))
-    elif obj is None:
-        out.append("null")
+        items = [_text(value, inner) for value in obj]
+        brackets = "[]"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+    if not items:
+        return brackets
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
+            + f"\n{pad}{brackets[1]}")

@@ -7,8 +7,10 @@ For each mutant the script copies `src/` to a temporary directory, replaces
 one exact snippet in one module of the copy, and runs the mutant's tests
 serially against the copy. The mutant is killed when pytest reports a
 failing test (exit status 1). The script exits 1 if any mutant survives, if
-any snippet does not occur exactly once in its module, or if pytest ends any
-other way (a collection error, an interrupt), and 0 when every mutant is
+any snippet does not occur exactly once in its module, if a mutated module
+does not compile (under -x pytest counts a test module that fails to import
+as a failing test, so such a mutant would pass for killed), or if pytest
+ends any other way (an interrupt, a usage error), and 0 when every mutant is
 killed. It uses only the standard library and is not collected by pytest:
 the tier-1 suite it runs is the ground truth, and this checks that the suite
 can fail. A survivor means a test is missing: add the test, keep the mutant.
@@ -195,11 +197,30 @@ MUTANTS = (
         "if tolerance is not None and not 0 < tolerance:",
         ("tests/test_families.py", "tests/test_cli.py"),
     ),
+    # the report writer
+    Mutant(
+        "json-item-separator", "jsonio.py",
+        'f",\\n{inner}".join(items)',
+        'f",{inner}".join(items)',
+        ("tests/test_jsonio.py", "tests/test_cli_golden.py"),
+    ),
+    Mutant(
+        "json-integral-float-no-point", "jsonio.py",
+        'text += ".0"',
+        "pass",
+        ("tests/test_jsonio.py", "tests/test_cli_golden.py"),
+    ),
+    Mutant(
+        "json-no-subclass-fallback", "jsonio.py",
+        "kind = next((t for t in _JSON_TYPES if isinstance(obj, t)), None)",
+        "kind = None",
+        ("tests/test_jsonio.py", "tests/test_cli_golden.py"),
+    ),
 )
 
 
 def run(mutant: Mutant) -> str:
-    """'killed', 'survived', 'no match' or 'pytest exit N' for one mutant."""
+    """'killed', 'survived', 'no match', 'syntax error' or 'pytest exit N' for one mutant."""
     with tempfile.TemporaryDirectory(prefix="graphenergy-mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -207,7 +228,12 @@ def run(mutant: Mutant) -> str:
         text = path.read_text()
         if text.count(mutant.snippet) != 1:
             return "no match"
-        path.write_text(text.replace(mutant.snippet, mutant.replacement))
+        mutated = text.replace(mutant.snippet, mutant.replacement)
+        try:
+            compile(mutated, str(path), "exec")
+        except SyntaxError:
+            return "syntax error"
+        path.write_text(mutated)
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                    PYTHONPATH=os.pathsep.join(
                        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

@@ -81,3 +81,24 @@ def test_rejects_scalars_json_does_not_know(value):
         jsonio.dumps(value)
     with pytest.raises(TypeError):
         jsonio.dumps({"x": [value]})
+
+
+# float-free trees: apart from floats, dumps is json.dumps(obj, indent=2) plus a newline
+TREES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), STRINGS),
+    lambda children: st.one_of(st.lists(children), st.lists(children).map(tuple),
+                               st.dictionaries(STRINGS, children)),
+)
+
+
+@given(TREES)
+def test_float_free_trees_are_written_as_json_dumps_indents_them(tree):
+    assert jsonio.dumps(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+def test_empty_containers_tuples_and_floats_inside_containers():
+    payload = {"a": [], "b": {}, "c": [[], {}], "d": (1, -0.0), "e": [np.float64(2.5)]}
+    assert jsonio.dumps(payload) == (
+        '{\n  "a": [],\n  "b": {},\n  "c": [\n    [],\n    {}\n  ],\n'
+        '  "d": [\n    1,\n    -0.0\n  ],\n  "e": [\n    2.5\n  ]\n}\n'
+    )
