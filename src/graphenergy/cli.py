@@ -4,6 +4,11 @@ Subcommands: gen, construct, spectrum, energy, verify, sweep, convert.
 Graphs are always read from and written to files (or stdout); structured
 results are emitted as deterministic JSON. Exit status is 0 when every
 verification in the invocation passed, 1 when one failed, 2 on usage errors.
+
+`energy --apply` and `spectrum --apply` check one member on the same two
+routes as `verify`. Under `--method both`, `energy`'s `within_tolerance`
+means |formula - oracle| <= tol, and `spectrum`'s means that the largest
+elementwise delta of the two spectra is <= tol.
 """
 
 from __future__ import annotations
@@ -27,13 +32,7 @@ from .io import FORMATS, read_graph_text, write_graph_text
 from .operators import OPERATORS, Operator, kronecker_product
 # unused here, but bench/tests/test_bench_spans.py reads cli.generalized_splitting
 from .operators import generalized_splitting  # noqa: F401
-from .spectral import (
-    Spectrum,
-    adjacency_spectrum,
-    check_tolerance,
-    structured_spectrum,
-    verification_tolerance,
-)
+from .spectral import Spectrum, adjacency_spectrum, check_tolerance, verification_tolerance
 
 _EXTENSION_FORMATS = {".g6": "graph6", ".graph6": "graph6", ".mtx": "mtx",
                       ".edges": "edges", ".txt": "edges"}
@@ -174,12 +173,18 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _applied_input(args) -> tuple[Graph, Graph, Operator | None, list[int], float]:
-    """Read the input graph and apply --apply, for `energy` and `spectrum`.
+def _spectrum_dict(spectrum: Spectrum | None, tolerance: float) -> dict | None:
+    if spectrum is None:
+        return None
+    return {
+        "values": [float(v) for v in spectrum.values],
+        "multiplicities": [[value, count] for value, count in spectrum.multiplicities(tolerance)],
+    }
 
-    Returns (base graph, applied graph, operator, op args, tolerance). Refuses
-    kron, and a formula route without an operator, before any eigensolve.
-    """
+
+def cmd_member(args) -> int:
+    """`energy` and `spectrum` (see the module docstring). Refuses kron, and a
+    formula route without an operator, before any eigensolve."""
     base = _read_graph(args.input, args.input_format)
     op, op_args = _operator_spec(args.apply) if args.apply else (None, [])
     if args.apply and op is None:
@@ -189,72 +194,29 @@ def _applied_input(args) -> tuple[Graph, Graph, Operator | None, list[int], floa
             "the formula route needs --apply OPERATOR; a bare graph file has "
             f"no closed-form {args.command}"
         )
-    g = base if op is None else op.build(base, *op_args)
+    spectra = args.command == "spectrum"
+    if op is None:
+        g, predicted, measured, structured = base, None, adjacency_spectrum(base), None
+    else:
+        plan = families.MemberPlan(op, tuple(op_args), base)
+        g = plan.build()
+        predicted, measured, structured = plan.routes(args.method, {}, graph=g,
+                                                      structured=spectra)
     tol = args.tol if args.tol is not None else verification_tolerance(g.order)
-    return base, g, op, op_args, tol
 
-
-def cmd_energy(args) -> int:
-    base, g, op, op_args, tol = _applied_input(args)
-    formula_energy = oracle_energy = delta = within = None
-    if args.method != "oracle":
-        formula_energy = op.factor(*op_args) * adjacency_spectrum(base).energy()
-    if args.method != "formula":
-        oracle_energy = adjacency_spectrum(g).energy()
-    if args.method == "both":
-        delta = abs(formula_energy - oracle_energy)
-        within = delta <= tol
-
-    report = {
-        "command": "energy",
-        "input": args.input,
-        "applied": args.apply,
-        "order": g.order,
-        "edge_count": g.edge_count,
-        "method": args.method,
-        "formula_energy": formula_energy,
-        "oracle_energy": oracle_energy,
-        "delta": delta,
-        "tolerance": tol,
-        "within_tolerance": within,
-    }
-    _write_json(report, args.output)
-    return 0 if within is not False else 1
-
-
-def _spectrum_dict(spectrum: Spectrum, tolerance: float) -> dict:
-    return {
-        "values": [float(v) for v in spectrum.values],
-        "multiplicities": [[value, count] for value, count in spectrum.multiplicities(tolerance)],
-    }
-
-
-def cmd_spectrum(args) -> int:
-    base, g, op, op_args, tol = _applied_input(args)
-    oracle = formula = max_delta = within = None
-    if args.method != "formula":
-        oracle_spectrum = adjacency_spectrum(g)
-        oracle = _spectrum_dict(oracle_spectrum, tol)
-    if args.method != "oracle":
-        structured = structured_spectrum(op.coefficient_spectrum(*op_args),
-                                         adjacency_spectrum(base))
-        formula = _spectrum_dict(structured, tol)
-    if args.method == "both":
-        max_delta = structured.max_delta(oracle_spectrum)
-        within = max_delta <= tol
-
-    report = {
-        "command": "spectrum",
-        "input": args.input,
-        "applied": args.apply,
-        "order": g.order,
-        "method": args.method,
-        "oracle": oracle,
-        "formula": formula,
-        "max_delta": max_delta,
-        "tolerance": tol,
-        "within_tolerance": within,
-    }
+    report = {"command": args.command, "input": args.input, "applied": args.apply,
+              "order": g.order}
+    if spectra:
+        report.update(method=args.method, oracle=_spectrum_dict(measured, tol),
+                      formula=_spectrum_dict(structured, tol))
+        delta_key, routes = "max_delta", (structured, measured)
+    else:
+        oracle = None if measured is None else measured.energy()
+        report.update(edge_count=g.edge_count, method=args.method, formula_energy=predicted,
+                      oracle_energy=oracle)
+        delta_key, routes = "delta", (predicted, oracle)
+    largest, within = families._agreement(routes, tol) if args.method == "both" else (None, None)
+    report.update({delta_key: largest, "tolerance": tol, "within_tolerance": within})
     _write_json(report, args.output)
     return 0 if within is not False else 1
 
@@ -354,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_input_format(p)
     p.set_defaults(fn=cmd_construct)
 
-    for name, help_text, fn in (("energy", "compute graph energy", cmd_energy),
-                                ("spectrum", "compute the adjacency spectrum", cmd_spectrum)):
+    for name, help_text in (("energy", "compute graph energy"),
+                            ("spectrum", "compute the adjacency spectrum")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="graph file")
         p.add_argument("--apply", help="operator spec to apply first (enables the formula route)")
@@ -363,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_tol(p)
         add_output(p, json_output=True)
         add_input_format(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_member)
 
     for name, help_text, family_help, bindings, bindings_help, fn in (
         ("verify", "verify one family instance", "family id, e.g. C5_4 or C6_2",

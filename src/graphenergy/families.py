@@ -26,7 +26,13 @@ from .graphs import (
     star_graph,
 )
 from .operators import OPERATORS, Operator
-from .spectral import Spectrum, adjacency_spectrum, check_tolerance, verification_tolerance
+from .spectral import (
+    Spectrum,
+    adjacency_spectrum,
+    check_tolerance,
+    structured_spectrum,
+    verification_tolerance,
+)
 
 EQUIENERGETIC = "equienergetic"
 BORDERENERGETIC = "borderenergetic"
@@ -71,10 +77,30 @@ class FamilySpec:
     base_pair: tuple[Graph, Graph] | None = None
 
 
+def _solved(memo: dict, key, build: Callable[[], Graph] | None = None) -> Spectrum:
+    """The Spectrum `memo` holds under `key`, eigensolving `build()`, or the
+    Graph `key` itself, on a miss. A failed eigensolve stores nothing."""
+    spectrum = memo.get(key)
+    if spectrum is None:
+        spectrum = memo[key] = adjacency_spectrum(key if build is None else build())
+    return spectrum
+
+
+def _agreement(values, tol: float) -> tuple[float | None, bool]:
+    """The largest delta between two present (not None) energies or spectra,
+    None when fewer than two are present, and whether every such delta is
+    within `tol`: the one rule by which routes, members and targets agree."""
+    present = [v for v in values if v is not None]
+    deltas = [a.max_delta(b) if isinstance(a, Spectrum) else abs(a - b)
+              for a, b in itertools.combinations(present, 2)]
+    return max(deltas, default=None), all(d <= tol for d in deltas)
+
+
 @dataclass(frozen=True)
 class MemberPlan:
-    """One family member: an operator with its arguments, applied to a base
-    graph. A plan over the dense-order cap raises OrderCapError."""
+    """One member: an operator with its arguments, applied to a base graph.
+    `_member` makes a family's members and refuses one over the dense-order
+    cap by its table label; the command line's builder names its own."""
 
     operator: Operator
     args: tuple[int, ...]
@@ -85,7 +111,6 @@ class MemberPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "order", self.operator.dimension(*self.args) * self.base.order)
-        check_order(self.order, self.operator.label_for(self.args))
 
     @property
     def description(self) -> str:
@@ -93,6 +118,30 @@ class MemberPlan:
 
     def build(self) -> Graph:
         return self.operator.build(self.base, *self.args)
+
+    def routes(self, method: str, memo: dict, *, graph: Graph | None = None,
+               structured: bool = False) -> tuple[float | None, Spectrum | None, Spectrum | None]:
+        """The routes `method` names, each None when left out: the closed-form
+        energy (the factor times the base energy, closed when the plan
+        carries it), the eigensolved spectrum of the member (`graph` when the
+        caller built it, else built here) and, if `structured`, the member's
+        spectrum from those of C and the base. Eigensolves go through `memo`
+        (see `verify`); a graph the caller built is its own key."""
+        predicted = measured = closed = None
+        if method in ("formula", "both"):
+            base_energy = self.base_energy_closed
+            if base_energy is None:
+                base_energy = _solved(memo, self.base).energy()
+            predicted = self.operator.factor(*self.args) * base_energy
+            if structured:
+                closed = structured_spectrum(self.operator.coefficient_spectrum(*self.args),
+                                             _solved(memo, self.base))
+        if method in ("oracle", "both"):
+            if graph is not None:
+                measured = _solved(memo, graph)
+            else:
+                measured = _solved(memo, (self.operator.name, self.args, self.base), self.build)
+        return predicted, measured, closed
 
 
 @dataclass
@@ -258,7 +307,10 @@ def _bases(family: Family, base: Graph | None,
 
 def _member(operator: str, base: Graph, *args: int, base_label: str = "base",
             base_energy_closed: float | None = None) -> MemberPlan:
-    return MemberPlan(OPERATORS[operator], args, base, base_label, base_energy_closed)
+    # plan functions make their members in order, after their domain checks
+    plan = MemberPlan(OPERATORS[operator], args, base, base_label, base_energy_closed)
+    check_order(plan.order, plan.operator.label_for(args))
+    return plan
 
 
 def _plan_c5_1(g1: Graph, g2: Graph, p: int, q: int) -> list[MemberPlan]:
@@ -429,9 +481,8 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
     method selects the energy routes: "formula" evaluates the closed-form
     scale factors, "oracle" eigensolves the constructed graphs, and "both"
     does both and additionally requires the two routes to agree per member.
-    The formula route multiplies the scale factor by the base graph's energy,
-    which is itself closed-form for the fixed-base families and eigensolved
-    once otherwise; it never eigensolves a constructed member.
+    Each member's routes come from `MemberPlan.routes`; the fixed-base
+    families carry their base energies in closed form.
 
     Eigensolved results go into `_memo`, a fresh dict unless `sweep` hands
     in the one its grid points share. It maps a base Graph to its Spectrum
@@ -448,39 +499,23 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
     )
 
     memo = {} if _memo is None else _memo
-
-    def solved(key, build: Callable[[], Graph]) -> Spectrum:
-        spectrum = memo.get(key)
-        if spectrum is None:
-            spectrum = memo[key] = adjacency_spectrum(build())
-        return spectrum
-
     members: list[MemberReport] = []
     spectra = []
     for plan in plans:
-        predicted = measured = None
-        if method in ("formula", "both"):
-            base_energy = plan.base_energy_closed
-            if base_energy is None:
-                base_energy = solved(plan.base, lambda: plan.base).energy()
-            predicted = plan.operator.factor(*plan.args) * base_energy
-        if method in ("oracle", "both"):
-            spectrum = solved((plan.operator.name, plan.args, plan.base), plan.build)
+        predicted, spectrum, _ = plan.routes(method, memo)
+        measured = None
+        if spectrum is not None:
             spectra.append(spectrum)
             measured = spectrum.energy()
         target = _complete_energy(plan.order) if family.kind == BORDERENERGETIC else None
         members.append(MemberReport(plan.description, plan.order, predicted, measured, target))
 
-    # every value present in a group must agree with every other within tol: a
-    # member's routes and its target, and an equal-energy family's members per route
+    # the values present in each group must agree: a member's routes and its
+    # target, and an equal-energy family's members per route
     groups = [(m.target_energy, m.predicted_energy, m.measured_energy) for m in members]
     if family.kind == EQUIENERGETIC:
         groups += [[m.predicted_energy for m in members], [m.measured_energy for m in members]]
-    energies_equal = all(
-        abs(a - b) <= tol
-        for group in groups
-        for a, b in itertools.combinations([v for v in group if v is not None], 2)
-    )
+    energies_equal = all(_agreement(group, tol)[1] for group in groups)
     # a Spectrum holds one value per vertex of the built graph, quotient zeros
     # included; a borderenergetic member is matched against K_N of its own order
     orders_equal = all(len(s) == plan.order for s, plan in zip(spectra, plans)) and (

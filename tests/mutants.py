@@ -138,15 +138,22 @@ MUTANTS = (
     # the sweep's memo and its verdicts
     Mutant(
         "memo-key-without-args", "families.py",
-        "solved((plan.operator.name, plan.args, plan.base), plan.build)",
-        "solved((plan.operator.name, plan.base), plan.build)",
+        "memo, (self.operator.name, self.args, self.base), self.build)",
+        "memo, (self.operator.name, self.base), self.build)",
         ("tests/test_sweep_memo.py",),
     ),
     Mutant(
         "memo-key-by-identity", "families.py",
-        "solved((plan.operator.name, plan.args, plan.base), plan.build)",
-        "solved((plan.operator.name, plan.args, id(plan.base)), plan.build)",
+        "memo, (self.operator.name, self.args, self.base), self.build)",
+        "memo, (self.operator.name, self.args, id(self.base)), self.build)",
         ("tests/test_sweep_memo.py",),
+    ),
+    # the command line's member is built a second time for its oracle route
+    Mutant(
+        "member-graph-rebuilt", "families.py",
+        "if graph is not None:\n                measured = _solved(memo, graph)",
+        "if False:\n                measured = _solved(memo, graph)",
+        ("tests/test_cli.py::TestMemberCheck",),
     ),
     Mutant(
         "linalg-error-skipped", "families.py",
@@ -166,6 +173,14 @@ MUTANTS = (
         "groups = [(m.target_energy, m.predicted_energy, m.measured_energy) for m in members]",
         "groups = [(m.target_energy, m.predicted_energy) for m in members]",
         ("tests/test_families.py::TestEachCheckCanFail",),
+    ),
+    # the one agreement rule of verify, `energy` and `spectrum` passes any delta
+    Mutant(
+        "agreement-unchecked", "families.py",
+        "all(d <= tol for d in deltas)",
+        "True",
+        ("tests/test_cli.py::TestMemberCheck::test_a_wrong_factor_fails_energy",
+         "tests/test_cli.py::TestMemberCheck::test_wrong_closed_eigenvalues_fail_spectrum"),
     ),
     Mutant(
         "member-orders-unchecked", "families.py",

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,6 +182,60 @@ class TestSpectrum:
         out = capsys.readouterr().out
         assert "0.0," in out
         assert "-0.0" not in out
+
+
+class TestMemberCheck:
+    """`energy --apply` and `spectrum --apply` check one member: each fails
+    on a fault in the closed forms by far more than rounding, and each builds
+    the member once and eigensolves each distinct graph at most once."""
+
+    def test_a_wrong_factor_fails_energy(self, monkeypatch, k3_file, capsys):
+        split = OPERATORS["split"]
+        monkeypatch.setitem(OPERATORS, "split", replace(
+            split, factor=lambda p, q: split.factor(p, q) * (1 + 1e-6)))
+        code, payload = run_json(capsys, ["energy", k3_file, "--apply", "split:2,1"])
+        assert (code, payload["within_tolerance"]) == (1, False)
+        assert payload["delta"] == pytest.approx(16e-6)
+
+    def test_wrong_closed_eigenvalues_fail_spectrum(self, monkeypatch, k3_file, capsys):
+        split = OPERATORS["split"]
+        monkeypatch.setitem(OPERATORS, "split", replace(
+            split, eigenvalues=lambda p, q: tuple(
+                (value * (1 + 1e-6), count) for value, count in split.eigenvalues(p, q))))
+        code, payload = run_json(capsys, ["spectrum", k3_file, "--apply", "split:2,1"])
+        assert (code, payload["within_tolerance"]) == (1, False)
+        assert payload["max_delta"] == pytest.approx(4e-6)  # of the product 2 * 2
+
+    # shadow:1 builds a copy of the base, which is eigensolved once
+    @pytest.mark.parametrize("spec", ["split:2,1", "shadow-split:2,3", "shadow:3", "shadow:1",
+                                      "splitting:2"])
+    @pytest.mark.parametrize("command", ["energy", "spectrum"])
+    @pytest.mark.parametrize("method", families.METHODS)
+    def test_one_build_and_one_eigensolve_per_distinct_graph(self, monkeypatch, capsys,
+                                                               c4_file, spec, command, method):
+        name, _, argtext = spec.partition(":")
+        args = tuple(int(a) for a in argtext.split(","))
+        op, base = OPERATORS[name], cycle_graph(4)
+        member = op.build(base, *args)
+        builds, solved = [], []
+        real_solve = families.adjacency_spectrum
+
+        def build(g, *params):
+            builds.append(params)
+            return op.build(g, *params)
+
+        def solve(g):
+            solved.append(g)
+            return real_solve(g)
+
+        monkeypatch.setitem(OPERATORS, name, replace(op, build=build))
+        monkeypatch.setattr(families, "adjacency_spectrum", solve)
+        assert main([command, c4_file, "--apply", spec, "--method", method]) == 0
+        capsys.readouterr()
+        assert builds == [args]
+        assert len(set(solved)) == len(solved)
+        read = {"formula": {base}, "oracle": {member}, "both": {base, member}}[method]
+        assert set(solved) == read
 
 
 class TestVerify:

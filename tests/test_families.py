@@ -479,7 +479,7 @@ class TestSweep:
                                                     context):
         monkeypatch.setenv(MAX_ORDER_ENV_VAR, "11")
         with pytest.raises(OrderCapError, match=re.escape(f"{context} would have order")):
-            families.MemberPlan(OPERATORS[operator], args, cycle_graph(4))
+            families._member(operator, cycle_graph(4), *args)
 
     def test_points_over_the_order_cap_are_skipped(self, monkeypatch):
         monkeypatch.setenv(MAX_ORDER_ENV_VAR, "60")  # C6_1 members: 9, 51 | 15, 81
