@@ -6,6 +6,9 @@ families produce members of equal order and equal energy, and the C6
 families produce graphs whose energy matches the complete graph of the same
 order, 2(N-1). Verification computes energies along two routes (closed-form
 scale factors and brute-force eigensolves) and reports the comparison.
+
+The catalog `FAMILIES` is one table: each row is a member map plus an
+optional domain rule (see `Family`); the default rule is "every parameter >= 1".
 """
 
 from __future__ import annotations
@@ -246,14 +249,33 @@ class VerificationReport:
         )
 
 
+def _at_least_one(**params: int) -> str | None:
+    """The default domain rule: every parameter >= 1. Returns why `params`
+    fall outside it, or None."""
+    if all(value >= 1 for value in params.values()):
+        return None
+    got = ", ".join(f"{name}={value}" for name, value in params.items())
+    return f"needs {','.join(params)} >= 1, got {got}"
+
+
 @dataclass(frozen=True)
 class Family:
+    """One row of the catalog. `members` maps the parameters to each member's
+    (operator name, *args) with plain +, -, * and **: it checks nothing,
+    raises nothing and never sees a Graph. `domain` returns why parameters
+    fall outside the family's domain, or None; the default rule is "every
+    parameter >= 1". A family that constructs its own base (NONE) gives
+    `complete_orders`, the orders of the complete graphs whose disjoint
+    union the base is."""
+
     family_id: str
     kind: str
     param_names: tuple[str, ...]
     base: str  # PAIR, SINGLE or NONE
     summary: str
-    plan: Callable[..., list[MemberPlan]]  # (*base graphs, **parameters)
+    members: Callable[..., list[tuple]]  # (**parameters) -> [(operator name, *args)]
+    domain: Callable[..., str | None] = _at_least_one  # (**parameters)
+    complete_orders: Callable[..., list[int]] | None = None  # (**parameters), NONE only
 
 
 def _require_params(spec: FamilySpec, names: tuple[str, ...]) -> dict[str, int]:
@@ -279,14 +301,9 @@ def _require_params(spec: FamilySpec, names: tuple[str, ...]) -> dict[str, int]:
     return out
 
 
-def _domain(condition: bool, message: str) -> None:
-    if not condition:
-        raise OutOfDomainError(message)
-
-
 def _bases(family: Family, base: Graph | None,
            base_pair: tuple[Graph, Graph] | None) -> tuple[Graph, ...]:
-    """The base graphs `family.plan` takes: the caller's, else the defaults.
+    """The base graphs the family takes: the caller's, else the defaults.
 
     Raises ValueError when the caller gives a kind of base the family does
     not take.
@@ -305,148 +322,84 @@ def _bases(family: Family, base: Graph | None,
     return ()
 
 
+def _complete_union(orders: list[int]) -> tuple[Graph, str, float]:
+    """The disjoint union of complete graphs of `orders`, its label and its
+    closed energy. The label writes each run of equal orders as
+    `n*complete(r)`, a last run of one graph as `complete(r)`, and wraps
+    several runs in `union(...)`."""
+    parts = [f"{len(list(run))}*complete({r})" for r, run in itertools.groupby(orders)]
+    parts[-1] = parts[-1].removeprefix("1*")
+    label = parts[0] if len(parts) == 1 else f"union({', '.join(parts)})"
+    graphs = [complete_graph(r) for r in orders]
+    graph = graphs[0] if len(graphs) == 1 else disjoint_union(graphs)
+    return graph, label, sum(_complete_energy(r) for r in orders)
+
+
 def _member(operator: str, base: Graph, *args: int, base_label: str = "base",
             base_energy_closed: float | None = None) -> MemberPlan:
-    # plan functions make their members in order, after their domain checks
+    # `_plan` makes a family's members in order, after its domain checks
     plan = MemberPlan(OPERATORS[operator], args, base, base_label, base_energy_closed)
     check_order(plan.order, plan.operator.label_for(args))
     return plan
-
-
-def _plan_c5_1(g1: Graph, g2: Graph, p: int, q: int) -> list[MemberPlan]:
-    _domain(g1.order == g2.order, "the base pair must share one order")
-    _domain(p >= 1 and q >= 1, f"C5_1 needs p,q >= 1, got p={p}, q={q}")
-    return [
-        _member("split", g1, p, q, base_label="first base"),
-        _member("split", g2, p, q, base_label="second base"),
-    ]
-
-
-def _plan_c5_2(base: Graph, t: int, m: int, k: int) -> list[MemberPlan]:
-    _domain(t >= 1 and m >= 1, f"C5_2 needs t,m >= 1, got t={t}, m={m}")
-    _domain(k in (1, -1), f"C5_2 needs k in {{1, -1}}, got k={k}")
-    p1 = (5 * t - 2) ** 2 * m + k * (5 * t - 2)
-    q1 = m
-    p2 = 5 * t * t * m + k * t
-    q2 = 5 * (2 * t - 1) ** 2 * m + k * (4 * t - 2)
-    _domain(
-        min(p1, q1, p2, q2) >= 1,
-        f"C5_2 derived parameters must be >= 1, got p1={p1}, q1={q1}, p2={p2}, q2={q2}",
-    )
-    return [_member("split", base, p1, q1), _member("split", base, p2, q2)]
-
-
-def _plan_c5_3(base: Graph, m: int, t: int) -> list[MemberPlan]:
-    _domain(m > t >= 1, f"C5_3 needs m > t >= 1, got m={m}, t={t}")
-    return [
-        _member("shadow-split", base, m + t, 2 * m - t),
-        _member("shadow-split", base, 3 * m - t, t),
-    ]
-
-
-def _plan_c5_4(base: Graph, p: int, q: int) -> list[MemberPlan]:
-    _domain(p >= 1 and q >= 1, f"C5_4 needs p,q >= 1, got p={p}, q={q}")
-    return [_member("split", base, p, q), _member("shadow", base, p + q)]
-
-
-def _plan_c5_5(base: Graph, c: int, k: int) -> list[MemberPlan]:
-    _domain(c >= 1 and k >= 1, f"C5_5 needs c,k >= 1, got c={c}, k={k}")
-    return [_member("shadow-split", base, c, k), _member("shadow", base, c + k)]
-
-
-def _plan_c5_6(base: Graph) -> list[MemberPlan]:
-    return [_member("split", base, 2, 1), _member("kron-complete", base, 3)]
-
-
-def _plan_c5_7(base: Graph, m: int) -> list[MemberPlan]:
-    _domain(m >= 1, f"C5_7 needs m >= 1, got m={m}")
-    return [
-        _member("split", base, 2 * m, 8 * m - 2),
-        _member("kron-complete-bipartite", base, 5 * m - 1),
-    ]
-
-
-def _plan_c5_8(base: Graph, m: int) -> list[MemberPlan]:
-    _domain(m >= 1, f"C5_8 needs m >= 1, got m={m}")
-    return [
-        _member("split", base, 3 * m + 1, 12 * m + 2),
-        _member("shadow-split", base, 5 * m + 1, 10 * m + 2),
-    ]
-
-
-def _plan_c5_9(base: Graph, t: int) -> list[MemberPlan]:
-    _domain(t >= 1, f"C5_9 needs t >= 1, got t={t}")
-    return [
-        _member("shadow-split", base, 10 * t - 4, 20 * t - 8),
-        _member("shadow", base, 30 * t - 12),
-        _member("complete-bipartite-kron", base, 15 * t - 6),
-        _member("split", base, 6 * t - 2, 24 * t - 10),
-    ]
-
-
-def _plan_c6_1(k: int) -> list[MemberPlan]:
-    _domain(k >= 1, f"C6_1 needs k >= 1, got k={k}")
-    base = complete_graph(3)
-    closed = _complete_energy(3)
-    return [
-        _member("split", base, k + 1, k, base_label="complete(3)", base_energy_closed=closed),
-        _member("split", base, 9 * k + 6, k + 1, base_label="complete(3)",
-                base_energy_closed=closed),
-    ]
-
-
-def _plan_c6_2(t: int) -> list[MemberPlan]:
-    _domain(t >= 1, f"C6_2 needs t >= 1, got t={t}")
-    r = 3 * t + 4
-    return [
-        _member("shadow-split", complete_graph(r), (t + 1) ** 2, t * (2 * t + 1),
-                base_label=f"complete({r})", base_energy_closed=_complete_energy(r))
-    ]
-
-
-def _plan_c6_3(t: int) -> list[MemberPlan]:
-    _domain(t >= 1, f"C6_3 needs t >= 1, got t={t}")
-    small, large = 3 * t + 4, 3 * t + 5
-    base = disjoint_union([complete_graph(small)] * t + [complete_graph(large)])
-    closed = t * _complete_energy(small) + _complete_energy(large)
-    return [
-        _member("shadow-split", base, (t + 1) ** 2, t * (2 * t + 1),
-                base_label=f"union({t}*complete({small}), complete({large}))",
-                base_energy_closed=closed)
-    ]
 
 
 FAMILIES: dict[str, Family] = {
     f.family_id: f
     for f in (
         Family("C5_1", EQUIENERGETIC, ("p", "q"), PAIR,
-               "same splitting operator applied to an equienergetic base pair", _plan_c5_1),
+               "same splitting operator applied to an equienergetic base pair",
+               lambda p, q: [("split", p, q)]),
         Family("C5_2", EQUIENERGETIC, ("t", "m", "k"), SINGLE,
-               "two splitting graphs with matched derived (p, q) parameters", _plan_c5_2),
+               "two splitting graphs with matched derived (p, q) parameters",
+               lambda t, m, k: [
+                   ("split", (5 * t - 2) ** 2 * m + k * (5 * t - 2), m),
+                   ("split", 5 * t * t * m + k * t, 5 * (2 * t - 1) ** 2 * m + k * (4 * t - 2)),
+               ],
+               lambda t, m, k: _at_least_one(t=t, m=m) or (
+                   None if k in (1, -1) else f"needs k in {{1, -1}}, got k={k}")),
         Family("C5_3", EQUIENERGETIC, ("m", "t"), SINGLE,
-               "two shadow-splitting graphs with complementary (c, k) parameters", _plan_c5_3),
+               "two shadow-splitting graphs with complementary (c, k) parameters",
+               lambda m, t: [("shadow-split", m + t, 2 * m - t),
+                             ("shadow-split", 3 * m - t, t)],
+               lambda m, t: None if m > t >= 1 else f"needs m > t >= 1, got m={m}, t={t}"),
         Family("C5_4", EQUIENERGETIC, ("p", "q"), SINGLE,
                "splitting graph against the shadow graph of matching order "
-               "(energies match exactly when q = 4p - 2)", _plan_c5_4),
+               "(energies match exactly when q = 4p - 2)",
+               lambda p, q: [("split", p, q), ("shadow", p + q)]),
         Family("C5_5", EQUIENERGETIC, ("c", "k"), SINGLE,
                "shadow-splitting graph against the shadow graph of matching order "
-               "(energies match exactly when k = 2c)", _plan_c5_5),
+               "(energies match exactly when k = 2c)",
+               lambda c, k: [("shadow-split", c, k), ("shadow", c + k)]),
         Family("C5_6", EQUIENERGETIC, (), SINGLE,
-               "splitting(p=2,q=1) against the Kronecker product with complete(3)", _plan_c5_6),
+               "splitting(p=2,q=1) against the Kronecker product with complete(3)",
+               lambda: [("split", 2, 1), ("kron-complete", 3)]),
         Family("C5_7", EQUIENERGETIC, ("m",), SINGLE,
                "splitting graph against the Kronecker product with a balanced "
-               "complete bipartite graph", _plan_c5_7),
+               "complete bipartite graph",
+               lambda m: [("split", 2 * m, 8 * m - 2), ("kron-complete-bipartite", 5 * m - 1)]),
         Family("C5_8", EQUIENERGETIC, ("m",), SINGLE,
-               "splitting graph against a shadow-splitting graph of equal order", _plan_c5_8),
+               "splitting graph against a shadow-splitting graph of equal order",
+               lambda m: [("split", 3 * m + 1, 12 * m + 2),
+                          ("shadow-split", 5 * m + 1, 10 * m + 2)]),
         Family("C5_9", EQUIENERGETIC, ("t",), SINGLE,
-               "four mutually equienergetic operator graphs of one order", _plan_c5_9),
+               "four mutually equienergetic operator graphs of one order",
+               lambda t: [("shadow-split", 10 * t - 4, 20 * t - 8),
+                          ("shadow", 30 * t - 12),
+                          ("complete-bipartite-kron", 15 * t - 6),
+                          ("split", 6 * t - 2, 24 * t - 10)]),
         Family("C6_1", BORDERENERGETIC, ("k",), NONE,
-               "two splitting graphs of complete(3) with complete-graph energy", _plan_c6_1),
+               "two splitting graphs of complete(3) with complete-graph energy",
+               lambda k: [("split", k + 1, k), ("split", 9 * k + 6, k + 1)],
+               complete_orders=lambda k: [3]),
         Family("C6_2", BORDERENERGETIC, ("t",), NONE,
-               "shadow-splitting of a complete graph with complete-graph energy", _plan_c6_2),
+               "shadow-splitting of a complete graph with complete-graph energy",
+               lambda t: [("shadow-split", (t + 1) ** 2, t * (2 * t + 1))],
+               complete_orders=lambda t: [3 * t + 4]),
         Family("C6_3", BORDERENERGETIC, ("t",), NONE,
                "shadow-splitting of a union of complete graphs with "
-               "complete-graph energy", _plan_c6_3),
+               "complete-graph energy",
+               lambda t: [("shadow-split", (t + 1) ** 2, t * (2 * t + 1))],
+               complete_orders=lambda t: [3 * t + 4] * t + [3 * t + 5]),
     )
 }
 
@@ -465,8 +418,24 @@ def get_family(corollary_id: str) -> Family:
 
 
 def _plan(family: Family, spec: FamilySpec) -> list[MemberPlan]:
+    """The members of one family instance, made in order: the parameters are
+    checked, then a base pair's orders, then the family's domain; then the
+    row's map gives each member, which goes to every base in turn."""
     params = _require_params(spec, family.param_names)
-    return family.plan(*_bases(family, spec.base, spec.base_pair), **params)
+    bases = _bases(family, spec.base, spec.base_pair)
+    if family.base == PAIR and bases[0].order != bases[1].order:
+        raise OutOfDomainError("the base pair must share one order")
+    reason = family.domain(**params)
+    if reason is not None:
+        raise OutOfDomainError(f"{family.family_id} {reason}")
+    if family.base == NONE:
+        labelled = [_complete_union(family.complete_orders(**params))]
+    else:
+        labels = ("first base", "second base") if family.base == PAIR else ("base",)
+        labelled = [(base, label, None) for base, label in zip(bases, labels)]
+    return [_member(name, base, *args, base_label=label, base_energy_closed=closed)
+            for name, *args in family.members(**params)
+            for base, label, closed in labelled]
 
 
 def _check_method(method: str) -> None:

@@ -135,6 +135,19 @@ MUTANTS = (
         "if False:",
         ("tests/test_io.py", "tests/test_codec_differential.py"),
     ),
+    # one coefficient of a family's member map, and one part of a C6 base
+    Mutant(
+        "c5-7-map-coefficient", "families.py",
+        "8 * m - 2",
+        "8 * m - 3",
+        ("tests/test_families.py::TestEquienergeticVerification",),
+    ),
+    Mutant(
+        "c6-3-base-part", "families.py",
+        "3 * t + 5",
+        "3 * t + 4",
+        ("tests/test_families.py::TestBorderenergeticVerification",),
+    ),
     # the sweep's memo and its verdicts
     Mutant(
         "memo-key-without-args", "families.py",

@@ -193,18 +193,30 @@ class TestMemberCheck:
         split = OPERATORS["split"]
         monkeypatch.setitem(OPERATORS, "split", replace(
             split, factor=lambda p, q: split.factor(p, q) * (1 + 1e-6)))
-        code, payload = run_json(capsys, ["energy", k3_file, "--apply", "split:2,1"])
+        code, payload = run_json(capsys, ["energy", k3_file, "--apply", "split:2,1",
+                                          "--tol", "1e-9"])
         assert (code, payload["within_tolerance"]) == (1, False)
         assert payload["delta"] == pytest.approx(16e-6)
+        assert list(payload) == ["command", "input", "applied", "order", "edge_count", "method",
+                                 "formula_energy", "oracle_energy", "delta", "tolerance",
+                                 "within_tolerance"]
+        assert payload["tolerance"] == 1e-9
 
     def test_wrong_closed_eigenvalues_fail_spectrum(self, monkeypatch, k3_file, capsys):
         split = OPERATORS["split"]
         monkeypatch.setitem(OPERATORS, "split", replace(
             split, eigenvalues=lambda p, q: tuple(
                 (value * (1 + 1e-6), count) for value, count in split.eigenvalues(p, q))))
-        code, payload = run_json(capsys, ["spectrum", k3_file, "--apply", "split:2,1"])
+        code, payload = run_json(capsys, ["spectrum", k3_file, "--apply", "split:2,1",
+                                          "--tol", "1e-9"])
         assert (code, payload["within_tolerance"]) == (1, False)
         assert payload["max_delta"] == pytest.approx(4e-6)  # of the product 2 * 2
+        assert list(payload) == ["command", "input", "applied", "order", "method", "oracle",
+                                 "formula", "max_delta", "tolerance", "within_tolerance"]
+        assert payload["tolerance"] == 1e-9
+        for route in ("oracle", "formula"):
+            assert list(payload[route]) == ["values", "multiplicities"]
+            assert sum(count for _, count in payload[route]["multiplicities"]) == 9
 
     # shadow:1 builds a copy of the base, which is eigensolved once
     @pytest.mark.parametrize("spec", ["split:2,1", "shadow-split:2,3", "shadow:3", "shadow:1",

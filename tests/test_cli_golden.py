@@ -183,9 +183,7 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
                  ["construct", "split:2,1", "{r6}", "--format", "mtx"],
                  ["construct", "shadow:2", "{r6}", "-o", "{tmp}/out.edges"],
                  ["energy", "{r6}", "--method", "oracle"],
-                 ["spectrum", "{r6}", "--method", "oracle"],
-                 ["energy", "{k3}", "--apply", "split:2,1", "--tol", "1e-30"],
-                 ["spectrum", "{r6}", "--apply", "shadow-split:2,2", "--tol", "1e-30"]):
+                 ["spectrum", "{r6}", "--method", "oracle"]):
         out.append((" ".join(argv), argv, None))
     for argv in OPERATOR_ERRORS:
         out.append((" ".join(argv), argv, None))

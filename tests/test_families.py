@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import re
 import threading
 from dataclasses import replace
@@ -85,30 +87,99 @@ class TestInstantiation:
 
 class TestDomains:
     def test_c5_3_requires_m_greater_than_t(self):
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(OutOfDomainError, match=r"^C5_3 needs m > t >= 1, got m=2, t=2$"):
             instantiate_family(spec("C5_3", m=2, t=2))
         with pytest.raises(OutOfDomainError):
             instantiate_family(spec("C5_3", m=1, t=0))
 
     def test_c5_2_k_must_be_unit(self):
-        with pytest.raises(OutOfDomainError, match="k in"):
+        with pytest.raises(OutOfDomainError, match=r"^C5_2 needs k in \{1, -1\}, got k=2$"):
             instantiate_family(spec("C5_2", t=1, m=1, k=2))
 
-    def test_positive_parameters_required(self):
-        for family_id, params in [
-            ("C5_4", {"p": 0, "q": 1}),
-            ("C5_5", {"c": 1, "k": 0}),
-            ("C5_7", {"m": 0}),
-            ("C6_1", {"k": 0}),
-            ("C6_2", {"t": 0}),
-        ]:
-            with pytest.raises(OutOfDomainError):
-                instantiate_family(FamilySpec(family_id, params))
-
+    # the message of the default rule comes from the parameter names
+    @pytest.mark.parametrize("family_id,params,message", [
+        ("C5_4", {"p": 0, "q": 1}, "C5_4 needs p,q >= 1, got p=0, q=1"),
+        ("C5_5", {"c": 1, "k": 0}, "C5_5 needs c,k >= 1, got c=1, k=0"),
+        ("C5_7", {"m": 0}, "C5_7 needs m >= 1, got m=0"),
+        ("C6_1", {"k": 0}, "C6_1 needs k >= 1, got k=0"),
+        ("C6_2", {"t": 0}, "C6_2 needs t >= 1, got t=0"),
+        ("C5_2", {"t": 1, "m": 0, "k": 1}, "C5_2 needs t,m >= 1, got t=1, m=0"),
+    ])
+    def test_positive_parameters_required(self, family_id, params, message):
+        with pytest.raises(OutOfDomainError, match=f"^{re.escape(message)}$"):
+            instantiate_family(FamilySpec(family_id, params))
 
     def test_a_fractional_parameter_is_refused(self):
         with pytest.raises(ValueError, match=r"^parameter p must be an integer, got 1\.5$"):
             verify(FamilySpec("C5_4", {"p": 1.5, "q": 1}))
+
+
+def in_domain_grid(family) -> list[dict[str, int]]:
+    """Each parameter in 1..4, except k = ±1 for C5_2, and only m > t for C5_3."""
+    ranges = [(1, -1) if (family.family_id, name) == ("C5_2", "k") else range(1, 5)
+              for name in family.param_names]
+    points = [dict(zip(family.param_names, p)) for p in itertools.product(*ranges)]
+    return [p for p in points if family.family_id != "C5_3" or p["m"] > p["t"]]
+
+
+def _binary(f):
+    """A Term method: `f` of this term and the other operand, at every point."""
+    def method(self, other):
+        left, right = self.at, other.at if isinstance(other, Term) else (lambda point: other)
+        return Term(lambda point: f(left(point), right(point)))
+    return method
+
+
+class Term:
+    """A stand-in number that knows only +, -, * and ** and their reflected
+    forms. It holds the function of a parameter point that it stands for, so
+    a map evaluated once on Terms can be read at any point."""
+
+    def __init__(self, at):
+        self.at = at
+
+    __add__, __radd__ = _binary(operator.add), _binary(lambda a, b: b + a)
+    __sub__, __rsub__ = _binary(operator.sub), _binary(lambda a, b: b - a)
+    __mul__, __rmul__ = _binary(operator.mul), _binary(lambda a, b: b * a)
+    __pow__, __rpow__ = _binary(operator.pow), _binary(lambda a, b: b ** a)
+    # None makes Python refuse a comparison, a truth value and an index
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = __index__ = None
+
+
+class TestMemberMaps:
+    """Each row's member map is plain arithmetic on the parameters, and on
+    the in-domain grid every member argument it gives is >= 1, so the
+    operator table's own check never has to refuse a catalog member."""
+
+    @pytest.mark.parametrize("family_id", family_ids())
+    def test_in_domain_points_map_to_arguments_of_at_least_one(self, monkeypatch,
+                                                               family_id):
+        monkeypatch.setenv(MAX_ORDER_ENV_VAR, "100000")  # plans only; nothing is built
+        family = get_family(family_id)
+        grid = in_domain_grid(family)
+        assert grid
+        for params in grid:
+            members = family.members(**params)
+            assert all(arg >= 1 for _, *args in members for arg in args), params
+            plans = families._plan(family, FamilySpec(family_id, params))
+            assert {(plan.operator.name, *plan.args) for plan in plans} == set(members)
+
+    @pytest.mark.parametrize("family_id", family_ids())
+    def test_maps_are_pure(self, family_id):
+        family = get_family(family_id)
+        symbols = {name: Term(lambda point, name=name: point[name])
+                   for name in family.param_names}
+        symbolic = family.members(**symbols)
+        for point in in_domain_grid(family):
+            at_point = [(name, *(a.at(point) if isinstance(a, Term) else a for a in args))
+                        for name, *args in symbolic]
+            assert at_point == family.members(**point)
+
+    def test_a_domain_rule_is_not_pure(self):
+        # the stand-in refuses what the maps must not do
+        symbols = {name: Term(lambda point: 1) for name in ("t", "m", "k")}
+        with pytest.raises(TypeError):
+            FAMILIES["C5_2"].domain(**symbols)
 
 
 class TestEquienergeticVerification:
@@ -147,6 +218,12 @@ class TestEquienergeticVerification:
         assert [m.order for m in report.members] == [12, 12]
         for m in report.members:
             assert m.measured_energy == pytest.approx(16.0, abs=1e-8)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_c5_7_split_matches_kron_with_balanced_bipartite(self, m):
+        report = verify(spec("C5_7", m=m), method="formula")
+        assert report.passed
+        assert report.members[0].predicted_energy == pytest.approx((10 * m - 2) * 4.0)
 
     def test_c5_9_all_four_members(self):
         report = verify(spec("C5_9", t=1))
@@ -202,6 +279,17 @@ class TestBorderenergeticVerification:
         assert report.passed
         assert report.members[0].order == 105
         assert report.members[0].measured_energy == pytest.approx(208.0, abs=1e-8)
+
+    @pytest.mark.parametrize("family_id,params,label,order", [
+        ("C6_1", {"k": 2}, "complete(3)", 3),
+        ("C6_2", {"t": 2}, "complete(10)", 10),
+        ("C6_3", {"t": 1}, "union(1*complete(7), complete(8))", 15),
+        ("C6_3", {"t": 2}, "union(2*complete(10), complete(11))", 31),
+    ])
+    def test_base_and_label_come_from_the_complete_orders(self, family_id, params, label,
+                                                          order):
+        for plan in families._plan(get_family(family_id), FamilySpec(family_id, params)):
+            assert (plan.base_label, plan.base.order) == (label, order)
 
     @pytest.mark.parametrize("value", [1, 2, 3])
     @pytest.mark.parametrize("family_id", ["C6_1", "C6_2", "C6_3"])
@@ -356,12 +444,13 @@ class TestEachCheckCanFail:
 
     def test_equal_energies_at_unequal_orders_fail(self, monkeypatch):
         # E(base + K1) = E(base), so the members agree in energy at orders 12 and 15
-        def plan(base):
+        def plan(family, instance):
+            base = cycle_graph(4)
             padded = disjoint_union([base, complete_graph(1)])
             return [families._member("split", base, 2, 1),
                     families._member("split", padded, 2, 1)]
 
-        monkeypatch.setitem(FAMILIES, "C5_6", replace(FAMILIES["C5_6"], plan=plan))
+        monkeypatch.setattr(families, "_plan", plan)
         for method in METHODS:
             report = verify(spec("C5_6"), method)
             assert (report.verdict, report.orders_equal, report.energies_equal) == (
