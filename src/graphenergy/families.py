@@ -54,11 +54,6 @@ class OutOfDomainError(ValueError):
     """Raised when family parameters fall outside the family's domain."""
 
 
-def default_base() -> Graph:
-    """Default base graph for base-parametric families: the 4-cycle."""
-    return cycle_graph(4)
-
-
 def canonical_equienergetic_pair() -> tuple[Graph, Graph]:
     """A stock equienergetic base pair for C5_1: the 4-leaf star and the
     4-cycle plus an isolated vertex (cospectral order-5 graphs)."""
@@ -264,9 +259,9 @@ class Family:
     (operator name, *args) with plain +, -, * and **: it checks nothing,
     raises nothing and never sees a Graph. `domain` returns why parameters
     fall outside the family's domain, or None; the default rule is "every
-    parameter >= 1". A family that constructs its own base (NONE) gives
-    `complete_orders`, the orders of the complete graphs whose disjoint
-    union the base is."""
+    parameter >= 1". A family constructs its own base (NONE) exactly when
+    it gives `complete_parts`, the (count, order) pairs of the complete
+    graphs whose disjoint union the base is."""
 
     family_id: str
     kind: str
@@ -275,7 +270,7 @@ class Family:
     summary: str
     members: Callable[..., list[tuple]]  # (**parameters) -> [(operator name, *args)]
     domain: Callable[..., str | None] = _at_least_one  # (**parameters)
-    complete_orders: Callable[..., list[int]] | None = None  # (**parameters), NONE only
+    complete_parts: Callable[..., list[tuple[int, int]]] | None = None  # (**parameters)
 
 
 def _require_params(spec: FamilySpec, names: tuple[str, ...]) -> dict[str, int]:
@@ -316,23 +311,25 @@ def _bases(family: Family, base: Graph | None,
     if family.base == SINGLE:
         if base_pair is not None:
             raise ValueError(f"{name} takes a single base graph, not a pair")
-        return (base if base is not None else default_base(),)
+        return (base if base is not None else cycle_graph(4),)
     if base is not None or base_pair is not None:
         raise ValueError(f"{name} constructs its own base graphs")
     return ()
 
 
-def _complete_union(orders: list[int]) -> tuple[Graph, str, float]:
-    """The disjoint union of complete graphs of `orders`, its label and its
-    closed energy. The label writes each run of equal orders as
-    `n*complete(r)`, a last run of one graph as `complete(r)`, and wraps
-    several runs in `union(...)`."""
-    parts = [f"{len(list(run))}*complete({r})" for r, run in itertools.groupby(orders)]
-    parts[-1] = parts[-1].removeprefix("1*")
-    label = parts[0] if len(parts) == 1 else f"union({', '.join(parts)})"
-    graphs = [complete_graph(r) for r in orders]
-    graph = graphs[0] if len(graphs) == 1 else disjoint_union(graphs)
-    return graph, label, sum(_complete_energy(r) for r in orders)
+def _complete_union(parts: list[tuple[int, int]]) -> tuple[Graph, str, float]:
+    """The disjoint union of complete graphs given as (count, order) pairs, its
+    label and its closed energy. Each order, then their total, meets the dense
+    cap before any graph is built, and each pair's graph is built once."""
+    for _, r in parts:
+        check_order(r)
+    check_order(sum(n * r for n, r in parts), "disjoint union")
+    labels = [f"{n}*complete({r})" for n, r in parts]
+    labels[-1] = labels[-1].removeprefix("1*")
+    label = labels[0] if len(labels) == 1 else f"union({', '.join(labels)})"
+    blocks = [g for n, r in parts for g in [complete_graph(r)] * n]
+    graph = blocks[0] if len(blocks) == 1 else disjoint_union(blocks)
+    return graph, label, sum(n * _complete_energy(r) for n, r in parts)
 
 
 def _member(operator: str, base: Graph, *args: int, base_label: str = "base",
@@ -390,16 +387,16 @@ FAMILIES: dict[str, Family] = {
         Family("C6_1", BORDERENERGETIC, ("k",), NONE,
                "two splitting graphs of complete(3) with complete-graph energy",
                lambda k: [("split", k + 1, k), ("split", 9 * k + 6, k + 1)],
-               complete_orders=lambda k: [3]),
+               complete_parts=lambda k: [(1, 3)]),
         Family("C6_2", BORDERENERGETIC, ("t",), NONE,
                "shadow-splitting of a complete graph with complete-graph energy",
                lambda t: [("shadow-split", (t + 1) ** 2, t * (2 * t + 1))],
-               complete_orders=lambda t: [3 * t + 4]),
+               complete_parts=lambda t: [(1, 3 * t + 4)]),
         Family("C6_3", BORDERENERGETIC, ("t",), NONE,
                "shadow-splitting of a union of complete graphs with "
                "complete-graph energy",
                lambda t: [("shadow-split", (t + 1) ** 2, t * (2 * t + 1))],
-               complete_orders=lambda t: [3 * t + 4] * t + [3 * t + 5]),
+               complete_parts=lambda t: [(t, 3 * t + 4), (1, 3 * t + 5)]),
     )
 }
 
@@ -428,8 +425,8 @@ def _plan(family: Family, spec: FamilySpec) -> list[MemberPlan]:
     reason = family.domain(**params)
     if reason is not None:
         raise OutOfDomainError(f"{family.family_id} {reason}")
-    if family.base == NONE:
-        labelled = [_complete_union(family.complete_orders(**params))]
+    if family.complete_parts is not None:
+        labelled = [_complete_union(family.complete_parts(**params))]
     else:
         labels = ("first base", "second base") if family.base == PAIR else ("base",)
         labelled = [(base, label, None) for base, label in zip(bases, labels)]

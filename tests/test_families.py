@@ -52,6 +52,12 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unexpected"):
             verify(spec("C5_6", t=1))
 
+    @pytest.mark.parametrize("family_id", family_ids())
+    def test_a_family_builds_its_own_base_exactly_when_it_gives_complete_parts(self,
+                                                                               family_id):
+        family = get_family(family_id)
+        assert (family.base == families.NONE) == (family.complete_parts is not None)
+
 
 class TestInstantiation:
     def test_c5_9_four_members_order_72(self):
@@ -154,7 +160,7 @@ class TestMemberMaps:
     @pytest.mark.parametrize("family_id", family_ids())
     def test_in_domain_points_map_to_arguments_of_at_least_one(self, monkeypatch,
                                                                family_id):
-        monkeypatch.setenv(MAX_ORDER_ENV_VAR, "100000")  # plans only; nothing is built
+        monkeypatch.setenv(MAX_ORDER_ENV_VAR, "100000")  # members are planned, C6 bases built
         family = get_family(family_id)
         grid = in_domain_grid(family)
         assert grid
@@ -174,12 +180,8 @@ class TestMemberMaps:
             at_point = [(name, *(a.at(point) if isinstance(a, Term) else a for a in args))
                         for name, *args in symbolic]
             assert at_point == family.members(**point)
-
-    def test_a_domain_rule_is_not_pure(self):
-        # the stand-in refuses what the maps must not do
-        symbols = {name: Term(lambda point: 1) for name in ("t", "m", "k")}
-        with pytest.raises(TypeError):
-            FAMILIES["C5_2"].domain(**symbols)
+        if symbols:  # a domain rule compares, which the stand-in refuses
+            pytest.raises(TypeError, family.domain, **symbols)
 
 
 class TestEquienergeticVerification:
@@ -286,7 +288,7 @@ class TestBorderenergeticVerification:
         ("C6_3", {"t": 1}, "union(1*complete(7), complete(8))", 15),
         ("C6_3", {"t": 2}, "union(2*complete(10), complete(11))", 31),
     ])
-    def test_base_and_label_come_from_the_complete_orders(self, family_id, params, label,
+    def test_base_and_label_come_from_the_complete_parts(self, family_id, params, label,
                                                           order):
         for plan in families._plan(get_family(family_id), FamilySpec(family_id, params)):
             assert (plan.base_label, plan.base.order) == (label, order)
@@ -575,6 +577,23 @@ class TestSweep:
         reports = sweep("C6_1", {"k": [1, 2]}, method="oracle")
         assert [r.verdict for r in reports] == ["pass", "skipped"]
         assert "dense cap" in reports[1].error
+
+    @pytest.mark.parametrize("t,refused", [
+        (1000, "disjoint union would have order 3007005"),  # each part fits, the union not
+        (10**6, "graph would have order 3000004"),  # the first part does not fit
+        (10**12, "graph would have order 3000000000004"),  # and no list of t graphs
+    ])
+    def test_a_c6_3_base_over_the_cap_is_refused_before_any_graph_is_built(
+            self, monkeypatch, t, refused):
+        monkeypatch.setenv(MAX_ORDER_ENV_VAR, "20000")
+        built = []
+        monkeypatch.setattr(families, "complete_graph", built.append)
+        message = f"^{re.escape(refused)}, exceeding the dense cap of 20000 "
+        with pytest.raises(OrderCapError, match=message):
+            verify(spec("C6_3", t=t))
+        (report,) = sweep("C6_3", {"t": [t]}, method="formula")
+        assert (report.verdict, built) == ("skipped", [])
+        assert re.match(message, report.error)
 
 
 def failing_eigensolver(monkeypatch, order, exc):
