@@ -17,6 +17,7 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import families, jsonio
 from .graphs import (
@@ -110,38 +111,29 @@ def _operator_spec(spec: str) -> tuple[Operator | None, list[int]]:
     return OPERATORS.get(name), args
 
 
-def _parse_bindings(pairs: list[str]) -> dict[str, int]:
-    out: dict[str, int] = {}
+def _parse_bindings(pairs: list[str], shape: str, parse: Callable[[str, str], object]) -> dict:
+    """`name=value` pairs as {name: parse(value, pair)}. Each pair is checked
+    and parsed before the next, so the first faulty pair's message wins."""
+    out = {}
     for pair in pairs:
         name, sep, value = pair.partition("=")
         if not sep or not name:
-            raise ValueError(f"parameter binding must look like name=value, got {pair!r}")
+            raise ValueError(f"{shape}, got {pair!r}")
         if name in out:
             raise ValueError(f"duplicate parameter {name!r}")
-        out[name] = int(value)
+        out[name] = parse(value, pair)
     return out
 
 
-def _parse_ranges(pairs: list[str]) -> dict[str, list[int]]:
-    """Parse name=1..5, name=-1,1, or name=3 range bindings."""
-    out: dict[str, list[int]] = {}
-    for pair in pairs:
-        name, sep, value = pair.partition("=")
-        if not sep or not name:
-            raise ValueError(f"range binding must look like name=RANGE, got {pair!r}")
-        if name in out:
-            raise ValueError(f"duplicate parameter {name!r}")
-        if ".." in value:
-            lo_text, _, hi_text = value.partition("..")
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise ValueError(f"empty range {pair!r}")
-            out[name] = list(range(lo, hi + 1))
-        elif "," in value:
-            out[name] = [int(v) for v in value.split(",")]
-        else:
-            out[name] = [int(value)]
-    return out
+def _parse_range(value: str, pair: str) -> list[int]:
+    """A range like 1..5, -1,1 or 3."""
+    if ".." in value:
+        lo_text, _, hi_text = value.partition("..")
+        lo, hi = int(lo_text), int(hi_text)
+        if hi < lo:
+            raise ValueError(f"empty range {pair!r}")
+        return list(range(lo, hi + 1))
+    return [int(v) for v in value.split(",")]
 
 
 def cmd_gen(args) -> int:
@@ -239,7 +231,8 @@ def _base_arguments(args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    params = _parse_bindings(args.params)
+    params = _parse_bindings(args.params, "parameter binding must look like name=value",
+                             lambda value, _: int(value))
     spec = families.FamilySpec(args.family_id, params, **_base_arguments(args))
     report = families.verify(spec, method=args.method, tolerance=args.tol)
     if args.table:
@@ -250,7 +243,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ranges = _parse_ranges(args.ranges)
+    ranges = _parse_bindings(args.ranges, "range binding must look like name=RANGE",
+                             _parse_range)
     reports = families.sweep(args.family_id, ranges, method=args.method, tolerance=args.tol,
                              **_base_arguments(args))
     if args.table:

@@ -150,9 +150,6 @@ class MemberReport:
     measured_energy: float | None
     target_energy: float | None
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
 
 @dataclass
 class VerificationReport:
@@ -164,18 +161,21 @@ class VerificationReport:
     `target_energy` is null. `orders_equal` is false when a member the oracle
     route built has another order than its plan states, and for equal-energy
     families also when the members' orders differ.
+
+    A "skipped" or "error" report leaves every field from `tolerance` to
+    `cospectral` at its default, and its `error` says why.
     """
 
     corollary_id: str
     kind: str
     parameters: dict[str, int]
     method: str
-    tolerance: float | None
-    members: list[MemberReport]
-    orders_equal: bool | None
-    energies_equal: bool | None
-    cospectral: list[dict] | None
-    verdict: str
+    tolerance: float | None = None
+    members: list[MemberReport] = field(default_factory=list)
+    orders_equal: bool | None = None
+    energies_equal: bool | None = None
+    cospectral: list[dict] | None = None
+    verdict: str = field(kw_only=True)
     error: str | None = None
 
     @property
@@ -184,7 +184,7 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {**vars(self), "parameters": dict(self.parameters),
-                "members": [m.to_dict() for m in self.members]}
+                "members": [dict(vars(m)) for m in self.members]}
 
     def to_table(self) -> str:
         """Plain-text rendering of the same record `to_dict` serializes.
@@ -201,13 +201,9 @@ class VerificationReport:
         if self.members:
             rows = [("member", "order", "predicted", "measured", "target")]
             for m in self.members:
-                rows.append((
-                    m.description,
-                    str(m.order),
-                    "-" if m.predicted_energy is None else f"{m.predicted_energy:.12g}",
-                    "-" if m.measured_energy is None else f"{m.measured_energy:.12g}",
-                    "-" if m.target_energy is None else f"{m.target_energy:.12g}",
-                ))
+                energies = (m.predicted_energy, m.measured_energy, m.target_energy)
+                rows.append((m.description, str(m.order),
+                             *("-" if e is None else f"{e:.12g}" for e in energies)))
             widths = [max(len(r[i]) for r in rows) for i in range(5)]
             for r in rows:
                 lines.append(
@@ -224,24 +220,6 @@ class VerificationReport:
             )
             lines.append(f"  cospectral pairs: {flagged}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def unverified(cls, corollary_id, kind, parameters, method, verdict,
-                   message) -> "VerificationReport":
-        """A report without members: verdict "skipped" or "error", and why."""
-        return cls(
-            corollary_id=corollary_id,
-            kind=kind,
-            parameters=dict(parameters),
-            method=method,
-            tolerance=None,
-            members=[],
-            orders_equal=None,
-            energies_equal=None,
-            cospectral=None,
-            verdict=verdict,
-            error=message,
-        )
 
 
 def _at_least_one(**params: int) -> str | None:
@@ -290,7 +268,11 @@ def _require_params(spec: FamilySpec, names: tuple[str, ...]) -> dict[str, int]:
     out = {}
     for name in names:
         value = spec.parameters[name]
-        if value != int(value):
+        try:
+            integral = value == int(value)
+        except (OverflowError, ValueError):  # int() of inf or nan
+            integral = False
+        if not integral:
             raise ValueError(f"parameter {name} must be an integer, got {value!r}")
         out[name] = int(value)
     return out
@@ -493,7 +475,6 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
         for i, j in itertools.combinations(range(len(spectra)), 2)
     ] if spectra else None
 
-    verdict = "pass" if (orders_equal and energies_equal) else "fail"
     return VerificationReport(
         corollary_id=spec.corollary_id,
         kind=family.kind,
@@ -504,7 +485,7 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
         orders_equal=orders_equal,
         energies_equal=energies_equal,
         cospectral=cospectral,
-        verdict=verdict,
+        verdict="pass" if orders_equal and energies_equal else "fail",
     )
 
 
@@ -567,8 +548,7 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
             verdict, message = "skipped", str(exc)
         except Exception as exc:  # one failing point must not end the sweep
             verdict, message = "error", f"{type(exc).__name__}: {exc}"
-        return VerificationReport.unverified(
-            corollary_id, family.kind, params, method, verdict, message
-        )
+        return VerificationReport(corollary_id, family.kind, params, method,
+                                  verdict=verdict, error=message)
 
     return [run(point) for point in grid]

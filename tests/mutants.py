@@ -174,6 +174,19 @@ MUTANTS = (
         "except ValueError as exc:",
         ("tests/test_families.py",),
     ),
+    Mutant(
+        "skip-report-without-error", "families.py",
+        "verdict=verdict, error=message)",
+        "verdict=verdict)",
+        ("tests/test_families.py::TestReportSerialization::test_skipped_report_shape",),
+    ),
+    # an infinite parameter escapes as OverflowError instead of being named
+    Mutant(
+        "non-finite-parameter-unnamed", "families.py",
+        "except (OverflowError, ValueError):  # int() of inf or nan",
+        "except ValueError:  # int() of inf or nan",
+        ("tests/test_families.py::TestDomains::test_a_non_finite_parameter_is_refused_by_name",),
+    ),
     # each check of the verdict, dropped on its own
     Mutant(
         "border-target-unchecked", "families.py",

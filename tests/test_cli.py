@@ -487,6 +487,24 @@ class TestParser:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    # each pair is checked and parsed before the next: the first faulty pair's
+    # message wins over a later pair's duplicate name or malformed shape
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "C5_4", "p=x", "p=1"], "invalid literal for int() with base 10: 'x'"),
+        (["verify", "C5_4", "q", "p=x", "p=1"],
+         "parameter binding must look like name=value, got 'q'"),
+        (["verify", "C5_4", "p=1", "p=2", "=3"], "duplicate parameter 'p'"),
+        (["sweep", "C5_4", "p=3..1", "p=1", "q=1"], "empty range 'p=3..1'"),
+        (["sweep", "C5_4", "p=1,x", "p", "q=1"], "invalid literal for int() with base 10: 'x'"),
+        (["sweep", "C5_4", "p=1", "p=2..1", "q"], "duplicate parameter 'p'"),
+    ], ids=["verify-value", "verify-shape", "verify-duplicate", "sweep-empty", "sweep-value",
+            "sweep-duplicate"])
+    def test_the_first_faulty_binding_is_the_one_reported(self, capsys, argv, message):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_one_parser_serves_every_call(self, capsys):
         build_parser.cache_clear()
         try:

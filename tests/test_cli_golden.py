@@ -8,12 +8,21 @@ passes, failures, out-of-domain skips and over-cap skips (the cap forced with
 SPECTRAL_MAX_ORDER), `construct`, `energy --apply` and `spectrum --apply` for
 every CLI operator, and the operator error messages. Input files are written
 to a temporary directory; its path reads `{tmp}` in the recorded text.
+
+The recorded floats carry LAPACK's last bits, which depend on the SIMD kernel
+OpenBLAS picks for the CPU and on its thread count. So every case runs in one
+child process, `python tests/test_cli_golden.py --print`, under `PINNED_BLAS`:
+the SSE3 kernel, which any x86-64 runner executes, on one thread. The child puts
+the graphenergy package this module imported first on its path, so it runs
+the same source as the tests. The layout digests do not touch BLAS and are
+taken in-process.
+
 Regenerate the file with `PYTHONPATH=src python tests/test_cli_golden.py`
-only when an output is meant to change; it prints to stderr the ids of the
-cases the re-record added, removed or changed, and whether the layouts
-changed. For a changed case it also says whether only numbers changed, and
-by how much at most, so that a re-record that moves last digits can be
-audited.
+only when an output is meant to change; it records the cases through the same
+child and prints to stderr the ids of the cases the re-record added, removed
+or changed, and whether the layouts changed. For a changed case it also says
+whether only numbers changed, and by how much at most, so that a re-record
+that moves last digits can be audited.
 """
 
 from __future__ import annotations
@@ -24,12 +33,14 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import graphenergy
 from graphenergy import (
     FamilySpec,
     canonical_equienergetic_pair,
@@ -46,6 +57,9 @@ from graphenergy.graphs import MAX_ORDER_ENV_VAR
 from conftest import instantiate_family
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+# the OpenBLAS kernel and thread count every recorded case runs under
+PINNED_BLAS = {"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"}
 
 # name -> graph written to {tmp}/<name>.g6
 INPUTS = {
@@ -280,13 +294,22 @@ def run_case(directory: Path, argv: list[str], cap: str | None) -> dict:
     return result
 
 
-def record(directory: Path) -> dict:
+def record_cases(directory: Path) -> dict:
     write_inputs(directory)
-    return {
-        "cases": {case_id: {"argv": argv, "cap": cap, **run_case(directory, argv, cap)}
-                  for case_id, argv, cap in _cases()},
-        "layouts": layout_digests(),
-    }
+    return {case_id: {"argv": argv, "cap": cap, **run_case(directory, argv, cap)}
+            for case_id, argv, cap in _cases()}
+
+
+def pinned_cases() -> dict:
+    """Every case, recorded by one child process under `PINNED_BLAS`."""
+    source = str(Path(graphenergy.__file__).resolve().parent.parent)
+    env = dict(os.environ, **PINNED_BLAS, PYTHONPATH=os.pathsep.join(
+        [source] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    child = subprocess.run([sys.executable, __file__, "--print"], env=env,
+                           capture_output=True, text=True)
+    if child.returncode != 0:
+        raise RuntimeError(f"the golden child exited {child.returncode}:\n{child.stderr}")
+    return json.loads(child.stdout)
 
 
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
@@ -334,10 +357,8 @@ def golden():
 
 
 @pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("golden")
-    write_inputs(directory)
-    return directory
+def recorded():
+    return pinned_cases()
 
 
 def test_every_case_is_recorded(golden):
@@ -346,11 +367,10 @@ def test_every_case_is_recorded(golden):
 
 
 @pytest.mark.parametrize("case_id,argv,cap", _cases(), ids=[c[0] for c in _cases()])
-def test_output_matches_the_golden_bytes(golden, inputs, case_id, argv, cap):
+def test_output_matches_the_golden_bytes(golden, recorded, case_id, argv, cap):
     want = golden["cases"][case_id]
     assert (want["argv"], want["cap"]) == (argv, cap)
-    got = run_case(inputs, argv, cap)
-    assert got == {k: v for k, v in want.items() if k not in ("argv", "cap")}
+    assert recorded[case_id] == want
 
 
 def test_member_layouts_match_the_golden_digests(golden):
@@ -385,8 +405,11 @@ def test_record_diff_tells_number_changes_from_other_changes():
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as scratch:
-        data = record(Path(scratch))
+    if sys.argv[1:] == ["--print"]:
+        with tempfile.TemporaryDirectory() as scratch:
+            print(json.dumps(record_cases(Path(scratch))))
+        sys.exit(0)
+    data = {"cases": pinned_cases(), "layouts": layout_digests()}
     previous = (json.loads(GOLDEN.read_text()) if GOLDEN.exists()
                 else {"cases": {}, "layouts": {}})
     for line in record_diff(previous, data):

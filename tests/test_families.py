@@ -119,6 +119,14 @@ class TestDomains:
         with pytest.raises(ValueError, match=r"^parameter p must be an integer, got 1\.5$"):
             verify(FamilySpec("C5_4", {"p": 1.5, "q": 1}))
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=repr)
+    def test_a_non_finite_parameter_is_refused_by_name(self, value):
+        message = f"parameter p must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify(FamilySpec("C5_4", {"p": value, "q": 1}))
+        (report,) = sweep("C5_4", {"p": [value], "q": [1]})
+        assert (report.verdict, report.error) == ("error", f"ValueError: {message}")
+
 
 def in_domain_grid(family) -> list[dict[str, int]]:
     """Each parameter in 1..4, except k = ±1 for C5_2, and only m > t for C5_3."""

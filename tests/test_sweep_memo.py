@@ -73,8 +73,8 @@ def one_verify_per_point(corollary_id, ranges, method, **bases):
             verdict, message = "skipped", str(exc)
         except Exception as exc:
             verdict, message = "error", f"{type(exc).__name__}: {exc}"
-        reports.append(VerificationReport.unverified(
-            corollary_id, family.kind, params, method, verdict, message))
+        reports.append(VerificationReport(corollary_id, family.kind, params, method,
+                                          verdict=verdict, error=message))
     return reports
 
 
