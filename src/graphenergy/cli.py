@@ -213,27 +213,21 @@ def cmd_member(args) -> int:
     return 0 if within is not False else 1
 
 
-def _base_arguments(args) -> dict:
-    kwargs: dict = {}
-    if args.base and args.base2:
-        kwargs["base_pair"] = (
-            _read_graph(args.base, args.input_format),
-            _read_graph(args.base2, args.input_format),
-        )
-        pair_ids = [f.family_id for f in families.FAMILIES.values() if f.base == families.PAIR]
-        if args.family_id not in pair_ids:
-            raise ValueError(f"only {', '.join(pair_ids)} takes a base pair (--base plus --base2)")
-    elif args.base2:
+def _base_arguments(args) -> tuple[Graph, ...]:
+    """The graphs --base and --base2 name, in that order."""
+    if args.base2 and not args.base:
         raise ValueError("--base2 needs --base as well")
-    elif args.base:
-        kwargs["base"] = _read_graph(args.base, args.input_format)
-    return kwargs
+    bases = tuple(_read_graph(path, args.input_format) for path in (args.base, args.base2) if path)
+    pair_ids = [f.family_id for f in families.FAMILIES.values() if len(f.stock) == 2]
+    if len(bases) == 2 and args.family_id not in pair_ids:
+        raise ValueError(f"only {', '.join(pair_ids)} takes a base pair (--base plus --base2)")
+    return bases
 
 
 def cmd_verify(args) -> int:
     params = _parse_bindings(args.params, "parameter binding must look like name=value",
                              lambda value, _: int(value))
-    spec = families.FamilySpec(args.family_id, params, **_base_arguments(args))
+    spec = families.FamilySpec(args.family_id, params, _base_arguments(args))
     report = families.verify(spec, method=args.method, tolerance=args.tol)
     if args.table:
         _write_text(report.to_table(), args.output)
@@ -246,7 +240,7 @@ def cmd_sweep(args) -> int:
     ranges = _parse_bindings(args.ranges, "range binding must look like name=RANGE",
                              _parse_range)
     reports = families.sweep(args.family_id, ranges, method=args.method, tolerance=args.tol,
-                             **_base_arguments(args))
+                             bases=_base_arguments(args))
     if args.table:
         _write_text("\n".join(r.to_table() for r in reports), args.output)
     else:

@@ -42,9 +42,6 @@ BORDERENERGETIC = "borderenergetic"
 
 METHODS = ("formula", "oracle", "both")
 
-# which base graphs a family takes from the caller
-PAIR, SINGLE, NONE = "pair", "single", "none"
-
 
 # E(K_r) = 2(r - 1): the `kron-complete` entry's C is A(K_r), so its factor is E(K_r)
 _complete_energy = OPERATORS["kron-complete"].factor
@@ -62,17 +59,13 @@ def canonical_equienergetic_pair() -> tuple[Graph, Graph]:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family identifier with bound parameters and optional base graphs.
-
-    `base` feeds the base-parametric families (ignored defaults to the
-    4-cycle); `base_pair` feeds C5_1 only. The C6 families construct their
-    own bases and reject caller-supplied ones.
-    """
+    """A family identifier with bound parameters and optional base graphs:
+    `bases` replaces the family's stock (`Family.stock`) with as many graphs
+    of the caller's, and is empty for the stock itself."""
 
     corollary_id: str
     parameters: Mapping[str, int] = field(default_factory=dict)
-    base: Graph | None = None
-    base_pair: tuple[Graph, Graph] | None = None
+    bases: tuple[Graph, ...] = ()
 
 
 def _solved(memo: dict, key, build: Callable[[], Graph] | None = None) -> Spectrum:
@@ -237,14 +230,15 @@ class Family:
     (operator name, *args) with plain +, -, * and **: it checks nothing,
     raises nothing and never sees a Graph. `domain` returns why parameters
     fall outside the family's domain, or None; the default rule is "every
-    parameter >= 1". A family constructs its own base (NONE) exactly when
-    it gives `complete_parts`, the (count, order) pairs of the complete
-    graphs whose disjoint union the base is."""
+    parameter >= 1". `stock` holds the base graphs, built once, that a
+    caller may replace; its length is how many the family takes, and it is
+    empty exactly when the family gives `complete_parts`, the (count, order)
+    pairs of the complete graphs whose disjoint union the base is."""
 
     family_id: str
     kind: str
     param_names: tuple[str, ...]
-    base: str  # PAIR, SINGLE or NONE
+    stock: tuple[Graph, ...]
     summary: str
     members: Callable[..., list[tuple]]  # (**parameters) -> [(operator name, *args)]
     domain: Callable[..., str | None] = _at_least_one  # (**parameters)
@@ -278,25 +272,19 @@ def _require_params(spec: FamilySpec, names: tuple[str, ...]) -> dict[str, int]:
     return out
 
 
-def _bases(family: Family, base: Graph | None,
-           base_pair: tuple[Graph, Graph] | None) -> tuple[Graph, ...]:
-    """The base graphs the family takes: the caller's, else the defaults.
-
-    Raises ValueError when the caller gives a kind of base the family does
-    not take.
-    """
-    name = family.family_id
-    if family.base == PAIR:
-        if base is not None:
-            raise ValueError(f"{name} takes a base pair, not a single base graph")
-        return base_pair if base_pair is not None else canonical_equienergetic_pair()
-    if family.base == SINGLE:
-        if base_pair is not None:
-            raise ValueError(f"{name} takes a single base graph, not a pair")
-        return (base if base is not None else cycle_graph(4),)
-    if base is not None or base_pair is not None:
-        raise ValueError(f"{name} constructs its own base graphs")
-    return ()
+def _bases(family: Family, bases: tuple[Graph, ...]) -> tuple[Graph, ...]:
+    """The base graphs the family takes: the caller's, else its stock. Raises
+    ValueError when the caller gives another number than the family takes."""
+    if not bases:
+        return family.stock
+    if len(bases) == len(family.stock):
+        return bases
+    if not family.stock:
+        raise ValueError(f"{family.family_id} constructs its own base graphs")
+    graphs = {1: "a single base graph", 2: "a pair"}
+    takes = "a base pair" if len(family.stock) == 2 else graphs[1]
+    given = graphs.get(len(bases), f"{len(bases)} base graphs")
+    raise ValueError(f"{family.family_id} takes {takes}, not {given}")
 
 
 def _complete_union(parts: list[tuple[int, int]]) -> tuple[Graph, str, float]:
@@ -322,13 +310,15 @@ def _member(operator: str, base: Graph, *args: int, base_label: str = "base",
     return plan
 
 
+_FOUR_CYCLE = (cycle_graph(4),)
+
 FAMILIES: dict[str, Family] = {
     f.family_id: f
     for f in (
-        Family("C5_1", EQUIENERGETIC, ("p", "q"), PAIR,
+        Family("C5_1", EQUIENERGETIC, ("p", "q"), canonical_equienergetic_pair(),
                "same splitting operator applied to an equienergetic base pair",
                lambda p, q: [("split", p, q)]),
-        Family("C5_2", EQUIENERGETIC, ("t", "m", "k"), SINGLE,
+        Family("C5_2", EQUIENERGETIC, ("t", "m", "k"), _FOUR_CYCLE,
                "two splitting graphs with matched derived (p, q) parameters",
                lambda t, m, k: [
                    ("split", (5 * t - 2) ** 2 * m + k * (5 * t - 2), m),
@@ -336,45 +326,45 @@ FAMILIES: dict[str, Family] = {
                ],
                lambda t, m, k: _at_least_one(t=t, m=m) or (
                    None if k in (1, -1) else f"needs k in {{1, -1}}, got k={k}")),
-        Family("C5_3", EQUIENERGETIC, ("m", "t"), SINGLE,
+        Family("C5_3", EQUIENERGETIC, ("m", "t"), _FOUR_CYCLE,
                "two shadow-splitting graphs with complementary (c, k) parameters",
                lambda m, t: [("shadow-split", m + t, 2 * m - t),
                              ("shadow-split", 3 * m - t, t)],
                lambda m, t: None if m > t >= 1 else f"needs m > t >= 1, got m={m}, t={t}"),
-        Family("C5_4", EQUIENERGETIC, ("p", "q"), SINGLE,
+        Family("C5_4", EQUIENERGETIC, ("p", "q"), _FOUR_CYCLE,
                "splitting graph against the shadow graph of matching order "
                "(energies match exactly when q = 4p - 2)",
                lambda p, q: [("split", p, q), ("shadow", p + q)]),
-        Family("C5_5", EQUIENERGETIC, ("c", "k"), SINGLE,
+        Family("C5_5", EQUIENERGETIC, ("c", "k"), _FOUR_CYCLE,
                "shadow-splitting graph against the shadow graph of matching order "
                "(energies match exactly when k = 2c)",
                lambda c, k: [("shadow-split", c, k), ("shadow", c + k)]),
-        Family("C5_6", EQUIENERGETIC, (), SINGLE,
+        Family("C5_6", EQUIENERGETIC, (), _FOUR_CYCLE,
                "splitting(p=2,q=1) against the Kronecker product with complete(3)",
                lambda: [("split", 2, 1), ("kron-complete", 3)]),
-        Family("C5_7", EQUIENERGETIC, ("m",), SINGLE,
+        Family("C5_7", EQUIENERGETIC, ("m",), _FOUR_CYCLE,
                "splitting graph against the Kronecker product with a balanced "
                "complete bipartite graph",
                lambda m: [("split", 2 * m, 8 * m - 2), ("kron-complete-bipartite", 5 * m - 1)]),
-        Family("C5_8", EQUIENERGETIC, ("m",), SINGLE,
+        Family("C5_8", EQUIENERGETIC, ("m",), _FOUR_CYCLE,
                "splitting graph against a shadow-splitting graph of equal order",
                lambda m: [("split", 3 * m + 1, 12 * m + 2),
                           ("shadow-split", 5 * m + 1, 10 * m + 2)]),
-        Family("C5_9", EQUIENERGETIC, ("t",), SINGLE,
+        Family("C5_9", EQUIENERGETIC, ("t",), _FOUR_CYCLE,
                "four mutually equienergetic operator graphs of one order",
                lambda t: [("shadow-split", 10 * t - 4, 20 * t - 8),
                           ("shadow", 30 * t - 12),
                           ("complete-bipartite-kron", 15 * t - 6),
                           ("split", 6 * t - 2, 24 * t - 10)]),
-        Family("C6_1", BORDERENERGETIC, ("k",), NONE,
+        Family("C6_1", BORDERENERGETIC, ("k",), (),
                "two splitting graphs of complete(3) with complete-graph energy",
                lambda k: [("split", k + 1, k), ("split", 9 * k + 6, k + 1)],
                complete_parts=lambda k: [(1, 3)]),
-        Family("C6_2", BORDERENERGETIC, ("t",), NONE,
+        Family("C6_2", BORDERENERGETIC, ("t",), (),
                "shadow-splitting of a complete graph with complete-graph energy",
                lambda t: [("shadow-split", (t + 1) ** 2, t * (2 * t + 1))],
                complete_parts=lambda t: [(1, 3 * t + 4)]),
-        Family("C6_3", BORDERENERGETIC, ("t",), NONE,
+        Family("C6_3", BORDERENERGETIC, ("t",), (),
                "shadow-splitting of a union of complete graphs with "
                "complete-graph energy",
                lambda t: [("shadow-split", (t + 1) ** 2, t * (2 * t + 1))],
@@ -401,8 +391,8 @@ def _plan(family: Family, spec: FamilySpec) -> list[MemberPlan]:
     checked, then a base pair's orders, then the family's domain; then the
     row's map gives each member, which goes to every base in turn."""
     params = _require_params(spec, family.param_names)
-    bases = _bases(family, spec.base, spec.base_pair)
-    if family.base == PAIR and bases[0].order != bases[1].order:
+    bases = _bases(family, spec.bases)
+    if len(bases) == 2 and bases[0].order != bases[1].order:
         raise OutOfDomainError("the base pair must share one order")
     reason = family.domain(**params)
     if reason is not None:
@@ -410,7 +400,7 @@ def _plan(family: Family, spec: FamilySpec) -> list[MemberPlan]:
     if family.complete_parts is not None:
         labelled = [_complete_union(family.complete_parts(**params))]
     else:
-        labels = ("first base", "second base") if family.base == PAIR else ("base",)
+        labels = ("first base", "second base") if len(bases) == 2 else ("base",)
         labelled = [(base, label, None) for base, label in zip(bases, labels)]
     return [_member(name, base, *args, base_label=label, base_energy_closed=closed)
             for name, *args in family.members(**params)
@@ -478,7 +468,7 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
     return VerificationReport(
         corollary_id=spec.corollary_id,
         kind=family.kind,
-        parameters=dict(spec.parameters),
+        parameters={name: int(value) for name, value in spec.parameters.items()},  # as checked
         method=method,
         tolerance=tol,
         members=members,
@@ -490,8 +480,7 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
 
 
 def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
-          method: str = "both", base: Graph | None = None,
-          base_pair: tuple[Graph, Graph] | None = None,
+          method: str = "both", bases: tuple[Graph, ...] = (),
           tolerance: float | None = None, jobs: int | None = None) -> list[VerificationReport]:
     """Verify a family over a parameter grid.
 
@@ -500,7 +489,8 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
     declared parameter order. Grid points outside the family's domain (or
     beyond the dense-order cap) yield "skipped" reports instead of aborting
     the sweep; any other exception at a grid point, such as a LAPACK
-    non-convergence, yields an "error" report that names it.
+    non-convergence, yields an "error" report that names it. `bases` are
+    the caller's base graphs for every point, as in `FamilySpec`.
 
     Points run serially on the caller's thread, in grid order: a thread pool
     lost to the serial loop in 10 of 10 alternating 30 s pairs of
@@ -530,19 +520,17 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
             raise ValueError(f"empty range for parameter {name!r}")
         values.append(seq)
     grid = itertools.product(*values)  # one empty point for a family without parameters
-    # a wrong kind of base or a malformed cap setting fails the sweep, not each point
-    bases = _bases(family, base, base_pair)
-    if family.base == SINGLE:
-        (base,) = bases
-    elif family.base == PAIR:
-        base_pair = bases
+    # a wrong number of bases or a malformed cap setting fails the sweep, not each point
+    bases = _bases(family, bases)
     max_order()
     memo: dict = {}
 
     def run(point) -> VerificationReport:
         params = dict(zip(family.param_names, point))
-        spec = FamilySpec(corollary_id, params, base=base, base_pair=base_pair)
+        spec = FamilySpec(corollary_id, params, bases)
         try:
+            # a report echoes the checked ints, or a value that fails the check as given
+            params = _require_params(spec, family.param_names)
             return verify(spec, method=method, tolerance=tolerance, _memo=memo)
         except (OutOfDomainError, OrderCapError) as exc:
             verdict, message = "skipped", str(exc)

@@ -148,6 +148,22 @@ MUTANTS = (
         "3 * t + 4",
         ("tests/test_families.py::TestBorderenergeticVerification",),
     ),
+    # the caller's bases, and the one check a base pair gets
+    Mutant(
+        "caller-bases-ignored", "families.py",
+        "    if not bases:\n        return family.stock",
+        "    if True:\n        return family.stock",
+        ("tests/test_families.py::TestInstantiation::test_explicit_base",
+         "tests/test_families.py::TestEquienergeticVerification::test_c5_3_worked_example",
+         "tests/test_cli.py::TestVerify::test_custom_base"),
+    ),
+    Mutant(
+        "pair-order-unchecked", "families.py",
+        "if len(bases) == 2 and bases[0].order != bases[1].order:",
+        "if False:",
+        ("tests/test_families.py::TestBasePair::test_c5_1_rejects_mismatched_orders",
+         "tests/test_cli_golden.py"),
+    ),
     # the sweep's memo and its verdicts
     Mutant(
         "memo-key-without-args", "families.py",

@@ -109,19 +109,19 @@ def _family_points():
         for t in (1, 2):
             for m in (1, 2):
                 for k in (1, -1):
-                    points.append(FamilySpec("C5_2", {"t": t, "m": m, "k": k}, base=base))
+                    points.append(FamilySpec("C5_2", {"t": t, "m": m, "k": k}, (base,)))
         for m in (2, 3):
             for t in range(1, m):
-                points.append(FamilySpec("C5_3", {"m": m, "t": t}, base=base))
+                points.append(FamilySpec("C5_3", {"m": m, "t": t}, (base,)))
         for p in (1, 2, 3):
-            points.append(FamilySpec("C5_4", {"p": p, "q": 4 * p - 2}, base=base))
+            points.append(FamilySpec("C5_4", {"p": p, "q": 4 * p - 2}, (base,)))
         for c in (1, 2, 3):
-            points.append(FamilySpec("C5_5", {"c": c, "k": 2 * c}, base=base))
-        points.append(FamilySpec("C5_6", {}, base=base))
+            points.append(FamilySpec("C5_5", {"c": c, "k": 2 * c}, (base,)))
+        points.append(FamilySpec("C5_6", {}, (base,)))
         for m in (1, 2):
-            points.append(FamilySpec("C5_7", {"m": m}, base=base))
-        points.append(FamilySpec("C5_8", {"m": 1}, base=base))
-        points.append(FamilySpec("C5_9", {"t": 1}, base=base))
+            points.append(FamilySpec("C5_7", {"m": m}, (base,)))
+        points.append(FamilySpec("C5_8", {"m": 1}, (base,)))
+        points.append(FamilySpec("C5_9", {"t": 1}, (base,)))
     return points
 
 

@@ -208,8 +208,8 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
 
 LAYOUT_SPECS = [
     FamilySpec("C5_1", {"p": 2, "q": 3}),
-    FamilySpec("C5_1", {"p": 1, "q": 2}, base_pair=(random_graph(5, 0.5, seed=3),
-                                                   random_graph(5, 0.6, seed=4))),
+    FamilySpec("C5_1", {"p": 1, "q": 2}, (random_graph(5, 0.5, seed=3),
+                                          random_graph(5, 0.6, seed=4))),
     FamilySpec("C5_2", {"t": 1, "m": 1, "k": -1}),
     FamilySpec("C5_3", {"m": 2, "t": 1}),
     FamilySpec("C5_4", {"p": 2, "q": 3}),
@@ -234,12 +234,12 @@ def _layout_specs() -> list[tuple[str, FamilySpec]]:
     out = []
     for spec in LAYOUT_SPECS:
         params = " ".join(f"{k}={v}" for k, v in spec.parameters.items())
-        label = "pair" if spec.base_pair is not None else "default"
+        label = "pair" if spec.bases else "default"
         out.append((f"{spec.corollary_id} {params} [{label}]", spec))
         if spec.corollary_id[:2] == "C5" and spec.corollary_id != "C5_1":
             for name, base in LAYOUT_BASES.items():
                 out.append((f"{spec.corollary_id} {params} [{name}]",
-                            FamilySpec(spec.corollary_id, spec.parameters, base=base)))
+                            FamilySpec(spec.corollary_id, spec.parameters, (base,))))
     return out
 
 

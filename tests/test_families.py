@@ -31,8 +31,8 @@ from graphenergy.graphs import MAX_ORDER_ENV_VAR
 from conftest import instantiate_family
 
 
-def spec(corollary_id, base=None, base_pair=None, **params):
-    return FamilySpec(corollary_id, params, base=base, base_pair=base_pair)
+def spec(corollary_id, *bases, **params):
+    return FamilySpec(corollary_id, params, bases)
 
 
 class TestRegistry:
@@ -56,7 +56,13 @@ class TestRegistry:
     def test_a_family_builds_its_own_base_exactly_when_it_gives_complete_parts(self,
                                                                                family_id):
         family = get_family(family_id)
-        assert (family.base == families.NONE) == (family.complete_parts is not None)
+        assert (family.stock == ()) == (family.complete_parts is not None)
+        # without caller bases a plan's bases are the stock's graphs themselves,
+        # built once at import and not again per call
+        plans = families._plan(family, FamilySpec(family_id, in_domain_grid(family)[0]))
+        if family.stock:  # each member goes to every base in turn
+            assert all(plan.base is family.stock[i % len(family.stock)]
+                       for i, plan in enumerate(plans))
 
 
 class TestInstantiation:
@@ -83,12 +89,12 @@ class TestInstantiation:
         assert [g.order for g in graphs] == [12, 12]
 
     def test_explicit_base(self):
-        graphs = instantiate_family(spec("C5_6", base=complete_graph(3)))
+        graphs = instantiate_family(spec("C5_6", complete_graph(3)))
         assert [g.order for g in graphs] == [9, 9]
 
     def test_c6_families_reject_custom_base(self):
         with pytest.raises(ValueError, match="constructs its own base"):
-            instantiate_family(spec("C6_1", base=cycle_graph(4), k=1))
+            instantiate_family(spec("C6_1", cycle_graph(4), k=1))
 
 
 class TestDomains:
@@ -208,7 +214,7 @@ class TestEquienergeticVerification:
         assert report.members[0].predicted_energy == pytest.approx(40.0, abs=1e-8)
 
     def test_c5_3_worked_example(self):
-        report = verify(spec("C5_3", base=complete_graph(3), m=2, t=1))
+        report = verify(spec("C5_3", complete_graph(3), m=2, t=1))
         assert report.passed
         expected = math.sqrt(45) * 4
         for m in report.members:
@@ -329,7 +335,7 @@ class TestBasePair:
 
     def test_c5_1_explicit_pair(self):
         pair = (complete_graph(4), complete_graph(4))
-        report = verify(spec("C5_1", base_pair=pair, p=1, q=2))
+        report = verify(spec("C5_1", *pair, p=1, q=2))
         assert report.passed
 
     def test_shadow_splitting_preserves_pair_equienergy(self):
@@ -344,7 +350,7 @@ class TestBasePair:
     def test_c5_1_rejects_mismatched_orders(self):
         pair = (complete_graph(3), complete_graph(4))
         with pytest.raises(OutOfDomainError, match="share one order"):
-            verify(spec("C5_1", base_pair=pair, p=1, q=1))
+            verify(spec("C5_1", *pair, p=1, q=1))
 
     def test_c5_1_needs_positive_parameters(self):
         # a sweep skips the point, as for every other family, and does not
@@ -358,12 +364,12 @@ class TestBasePair:
 
     def test_c5_1_rejects_single_base(self):
         with pytest.raises(ValueError, match="base pair"):
-            verify(spec("C5_1", base=cycle_graph(4), p=1, q=1))
+            verify(spec("C5_1", cycle_graph(4), p=1, q=1))
 
     def test_single_base_families_reject_pair(self):
         pair = canonical_equienergetic_pair()
         with pytest.raises(ValueError, match="single base"):
-            verify(spec("C5_6", base_pair=pair))
+            verify(spec("C5_6", *pair))
 
 
 class TestMethods:
@@ -471,14 +477,14 @@ class TestEachCheckCanFail:
 class TestCospectralFlags:
     def test_c5_6_on_triangle_base_is_non_cospectral(self):
         # equal energies with distinct spectra at a non-bipartite base
-        report = verify(spec("C5_6", base=complete_graph(3)))
+        report = verify(spec("C5_6", complete_graph(3)))
         assert report.passed
         assert report.cospectral == [{"pair": [0, 1], "cospectral": False}]
 
     def test_c5_6_on_bipartite_base_is_cospectral(self):
         # a bipartite base has a sign-symmetric spectrum, which makes the two
         # members cospectral, not merely equienergetic
-        report = verify(spec("C5_6", base=cycle_graph(4)))
+        report = verify(spec("C5_6", cycle_graph(4)))
         assert report.passed
         assert report.cospectral == [{"pair": [0, 1], "cospectral": True}]
 
@@ -560,13 +566,25 @@ class TestSweep:
         assert len(reports) == 1
         assert reports[0].passed
 
-    def test_wrong_kind_of_base_fails_before_any_point(self):
-        with pytest.raises(ValueError, match="constructs its own base"):
-            sweep("C6_1", {"k": [1, 2]}, base=cycle_graph(4))
-        with pytest.raises(ValueError, match="single base"):
-            sweep("C5_6", {}, base_pair=canonical_equienergetic_pair())
-        with pytest.raises(ValueError, match="base pair"):
-            sweep("C5_1", {"p": [1], "q": [1]}, base=cycle_graph(4))
+    @pytest.mark.parametrize("family_id,ranges,count,message", [
+        ("C6_1", {"k": [1, 2]}, 1, "C6_1 constructs its own base graphs"),
+        ("C6_1", {"k": [1, 2]}, 2, "C6_1 constructs its own base graphs"),
+        ("C5_6", {}, 2, "C5_6 takes a single base graph, not a pair"),
+        ("C5_6", {}, 3, "C5_6 takes a single base graph, not 3 base graphs"),
+        ("C5_1", {"p": [1], "q": [1]}, 1, "C5_1 takes a base pair, not a single base graph"),
+        ("C5_1", {"p": [1], "q": [1]}, 3, "C5_1 takes a base pair, not 3 base graphs"),
+    ])
+    def test_a_wrong_number_of_bases_fails_before_any_point(self, monkeypatch, family_id,
+                                                            ranges, count, message):
+        bases = (cycle_graph(5),) * count
+        solved, points = [], []
+        monkeypatch.setattr(families, "adjacency_spectrum", solved.append)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify(FamilySpec(family_id, {name: r[0] for name, r in ranges.items()}, bases))
+        monkeypatch.setattr(families, "verify", lambda spec, **kwargs: points.append(spec))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep(family_id, ranges, bases=bases)
+        assert (solved, points) == ([], [])
 
     @pytest.mark.parametrize("operator,args,context", [
         ("shadow", (3,), "shadow(m=3)"),
@@ -686,6 +704,22 @@ class TestReportSerialization:
         payload = reports[0].to_dict()
         assert payload["members"] == []
         assert payload["error"]
+
+    def test_parameters_echo_the_checked_ints(self):
+        def dumped(ranges):
+            return jsonio.dumps([r.to_dict() for r in sweep("C6_1", ranges)])
+
+        # k=0 is skipped, k=1 and k=2 pass
+        assert dumped({"k": np.arange(0, 3)}) == dumped({"k": [0, 1, 2]})
+        ints = jsonio.dumps(verify(FamilySpec("C5_4", {"q": 2, "p": 1})).to_dict())
+        for p, q in [(np.int64(1), np.int64(2)), (1.0, 2.0)]:
+            report = verify(FamilySpec("C5_4", {"q": q, "p": p}))
+            assert jsonio.dumps(report.to_dict()) == ints  # the caller's order, as ints
+        # a value that fails the integer check is echoed as given
+        fractional, whole = sweep("C5_4", {"p": [1.5, 1.0], "q": [2.0]})
+        assert fractional.parameters == {"p": 1.5, "q": 2.0}
+        assert fractional.error == "ValueError: parameter p must be an integer, got 1.5"
+        assert [type(v) for v in whole.parameters.values()] == [int, int]
 
     def test_table_rendering(self):
         report = verify(spec("C6_1", k=1))

@@ -50,24 +50,25 @@ GRIDS = {
     "C6_3": {"t": [0, 1]},
 }
 
-# (family, bases given to the sweep): every family with its default bases,
+# (family, bases given to the sweep): every family with its stock bases,
 # one single-base family with a custom base and C5_1 with a custom pair
-CASES = [(name, {}) for name in GRIDS] + [
-    ("C5_5", {"base": complete_bipartite(2, 3)}),
-    ("C5_4", {"base": random_graph(5, 0.5, seed=11)}),
-    ("C5_1", {"base_pair": (cycle_graph(5), path_graph(5))}),
-    ("C5_1", {"base_pair": (star_graph(3), cycle_graph(5))}),  # orders differ: skipped
+CASES = [(name, ()) for name in GRIDS] + [
+    ("C5_5", (complete_bipartite(2, 3),)),
+    ("C5_4", (random_graph(5, 0.5, seed=11),)),
+    ("C5_1", (cycle_graph(5), path_graph(5))),
+    ("C5_1", (star_graph(3), cycle_graph(5))),  # orders differ: skipped
 ]
+CASE_LABELS = ("default", "base", "base_pair")  # by the number of bases
 
 
-def one_verify_per_point(corollary_id, ranges, method, **bases):
+def one_verify_per_point(corollary_id, ranges, method, bases):
     """The sweep's reports, built from one stand-alone `verify` per point."""
     family = get_family(corollary_id)
     reports = []
     for point in itertools.product(*(ranges[name] for name in family.param_names)):
         params = dict(zip(family.param_names, point))
         try:
-            reports.append(verify(FamilySpec(corollary_id, params, **bases), method=method))
+            reports.append(verify(FamilySpec(corollary_id, params, bases), method=method))
             continue
         except (OutOfDomainError, OrderCapError) as exc:
             verdict, message = "skipped", str(exc)
@@ -88,11 +89,11 @@ def test_the_cases_cover_every_family():
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("corollary_id,bases", CASES,
-                         ids=[f"{name}-{'-'.join(bases) or 'default'}" for name, bases in CASES])
+                         ids=[f"{name}-{CASE_LABELS[len(bases)]}" for name, bases in CASES])
 def test_a_sweep_equals_one_verify_per_point(corollary_id, bases, method):
     ranges = GRIDS[corollary_id]
-    reports = sweep(corollary_id, ranges, method=method, **bases)
-    assert dumped(reports) == dumped(one_verify_per_point(corollary_id, ranges, method, **bases))
+    reports = sweep(corollary_id, ranges, method=method, bases=bases)
+    assert dumped(reports) == dumped(one_verify_per_point(corollary_id, ranges, method, bases))
 
 
 @pytest.fixture
@@ -147,7 +148,7 @@ def test_a_base_rebuilt_at_every_point_is_keyed_by_content(eigensolves):
 
 def test_equal_bases_share_their_eigensolves(eigensolves):
     # two distinct Graph objects with one content, both alive for the whole sweep
-    sweep("C5_1", {"p": [1], "q": [1, 2]}, base_pair=(cycle_graph(5), cycle_graph(5)))
+    sweep("C5_1", {"p": [1], "q": [1, 2]}, bases=(cycle_graph(5), cycle_graph(5)))
     assert len(eigensolves) == 2 + 1
 
 
