@@ -13,6 +13,7 @@ optional domain rule (see `Family`); the default rule is "every parameter >= 1".
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -230,15 +231,16 @@ class Family:
     (operator name, *args) with plain +, -, * and **: it checks nothing,
     raises nothing and never sees a Graph. `domain` returns why parameters
     fall outside the family's domain, or None; the default rule is "every
-    parameter >= 1". `stock` holds the base graphs, built once, that a
-    caller may replace; its length is how many the family takes, and it is
-    empty exactly when the family gives `complete_parts`, the (count, order)
-    pairs of the complete graphs whose disjoint union the base is."""
+    parameter >= 1". `stock` holds one builder per base graph a caller may
+    replace, which builds its stock base on first use, never at import; its
+    length is how many the family takes, and it is empty exactly when the
+    family gives `complete_parts`, the (count, order) pairs of the complete
+    graphs whose disjoint union the base is."""
 
     family_id: str
     kind: str
     param_names: tuple[str, ...]
-    stock: tuple[Graph, ...]
+    stock: tuple[Callable[[], Graph], ...]
     summary: str
     members: Callable[..., list[tuple]]  # (**parameters) -> [(operator name, *args)]
     domain: Callable[..., str | None] = _at_least_one  # (**parameters)
@@ -246,20 +248,15 @@ class Family:
 
 
 def _require_params(spec: FamilySpec, names: tuple[str, ...]) -> dict[str, int]:
+    """The spec's parameters as checked ints, in the caller's order."""
     given = set(spec.parameters)
     expected = set(names)
     if given != expected:
-        missing = sorted(expected - given)
-        extra = sorted(given - expected)
-        parts = []
-        if missing:
-            parts.append(f"missing {missing}")
-        if extra:
-            parts.append(f"unexpected {extra}")
+        parts = [f"{word} {sorted(keys)}" for word, keys in
+                 (("missing", expected - given), ("unexpected", given - expected)) if keys]
         raise ValueError(
             f"{spec.corollary_id} takes parameters {sorted(expected)}: " + ", ".join(parts)
         )
-    out = {}
     for name in names:
         value = spec.parameters[name]
         try:
@@ -268,15 +265,14 @@ def _require_params(spec: FamilySpec, names: tuple[str, ...]) -> dict[str, int]:
             integral = False
         if not integral:
             raise ValueError(f"parameter {name} must be an integer, got {value!r}")
-        out[name] = int(value)
-    return out
+    return {name: int(value) for name, value in spec.parameters.items()}
 
 
 def _bases(family: Family, bases: tuple[Graph, ...]) -> tuple[Graph, ...]:
     """The base graphs the family takes: the caller's, else its stock. Raises
     ValueError when the caller gives another number than the family takes."""
     if not bases:
-        return family.stock
+        return tuple(build() for build in family.stock)
     if len(bases) == len(family.stock):
         return bases
     if not family.stock:
@@ -310,15 +306,17 @@ def _member(operator: str, base: Graph, *args: int, base_label: str = "base",
     return plan
 
 
-_FOUR_CYCLE = (cycle_graph(4),)
+_stock_pair = functools.cache(canonical_equienergetic_pair)
+_four_cycle = functools.cache(lambda: cycle_graph(4))
 
 FAMILIES: dict[str, Family] = {
     f.family_id: f
     for f in (
-        Family("C5_1", EQUIENERGETIC, ("p", "q"), canonical_equienergetic_pair(),
+        Family("C5_1", EQUIENERGETIC, ("p", "q"),
+               (lambda: _stock_pair()[0], lambda: _stock_pair()[1]),
                "same splitting operator applied to an equienergetic base pair",
                lambda p, q: [("split", p, q)]),
-        Family("C5_2", EQUIENERGETIC, ("t", "m", "k"), _FOUR_CYCLE,
+        Family("C5_2", EQUIENERGETIC, ("t", "m", "k"), (_four_cycle,),
                "two splitting graphs with matched derived (p, q) parameters",
                lambda t, m, k: [
                    ("split", (5 * t - 2) ** 2 * m + k * (5 * t - 2), m),
@@ -326,31 +324,31 @@ FAMILIES: dict[str, Family] = {
                ],
                lambda t, m, k: _at_least_one(t=t, m=m) or (
                    None if k in (1, -1) else f"needs k in {{1, -1}}, got k={k}")),
-        Family("C5_3", EQUIENERGETIC, ("m", "t"), _FOUR_CYCLE,
+        Family("C5_3", EQUIENERGETIC, ("m", "t"), (_four_cycle,),
                "two shadow-splitting graphs with complementary (c, k) parameters",
                lambda m, t: [("shadow-split", m + t, 2 * m - t),
                              ("shadow-split", 3 * m - t, t)],
                lambda m, t: None if m > t >= 1 else f"needs m > t >= 1, got m={m}, t={t}"),
-        Family("C5_4", EQUIENERGETIC, ("p", "q"), _FOUR_CYCLE,
+        Family("C5_4", EQUIENERGETIC, ("p", "q"), (_four_cycle,),
                "splitting graph against the shadow graph of matching order "
                "(energies match exactly when q = 4p - 2)",
                lambda p, q: [("split", p, q), ("shadow", p + q)]),
-        Family("C5_5", EQUIENERGETIC, ("c", "k"), _FOUR_CYCLE,
+        Family("C5_5", EQUIENERGETIC, ("c", "k"), (_four_cycle,),
                "shadow-splitting graph against the shadow graph of matching order "
                "(energies match exactly when k = 2c)",
                lambda c, k: [("shadow-split", c, k), ("shadow", c + k)]),
-        Family("C5_6", EQUIENERGETIC, (), _FOUR_CYCLE,
+        Family("C5_6", EQUIENERGETIC, (), (_four_cycle,),
                "splitting(p=2,q=1) against the Kronecker product with complete(3)",
                lambda: [("split", 2, 1), ("kron-complete", 3)]),
-        Family("C5_7", EQUIENERGETIC, ("m",), _FOUR_CYCLE,
+        Family("C5_7", EQUIENERGETIC, ("m",), (_four_cycle,),
                "splitting graph against the Kronecker product with a balanced "
                "complete bipartite graph",
                lambda m: [("split", 2 * m, 8 * m - 2), ("kron-complete-bipartite", 5 * m - 1)]),
-        Family("C5_8", EQUIENERGETIC, ("m",), _FOUR_CYCLE,
+        Family("C5_8", EQUIENERGETIC, ("m",), (_four_cycle,),
                "splitting graph against a shadow-splitting graph of equal order",
                lambda m: [("split", 3 * m + 1, 12 * m + 2),
                           ("shadow-split", 5 * m + 1, 10 * m + 2)]),
-        Family("C5_9", EQUIENERGETIC, ("t",), _FOUR_CYCLE,
+        Family("C5_9", EQUIENERGETIC, ("t",), (_four_cycle,),
                "four mutually equienergetic operator graphs of one order",
                lambda t: [("shadow-split", 10 * t - 4, 20 * t - 8),
                           ("shadow", 30 * t - 12),
@@ -386,12 +384,12 @@ def get_family(corollary_id: str) -> Family:
         ) from None
 
 
-def _plan(family: Family, spec: FamilySpec) -> list[MemberPlan]:
-    """The members of one family instance, made in order: the parameters are
-    checked, then a base pair's orders, then the family's domain; then the
-    row's map gives each member, which goes to every base in turn."""
-    params = _require_params(spec, family.param_names)
-    bases = _bases(family, spec.bases)
+def _plan(family: Family, params: dict[str, int], bases: tuple[Graph, ...]) -> list[MemberPlan]:
+    """The members of one family instance at checked parameters, made in
+    order: the bases are resolved and a base pair's orders checked, then the
+    family's domain; then the row's map gives each member, which goes to
+    every base in turn."""
+    bases = _bases(family, bases)
     if len(bases) == 2 and bases[0].order != bases[1].order:
         raise OutOfDomainError("the base pair must share one order")
     reason = family.domain(**params)
@@ -431,7 +429,8 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
     _check_method(method)
     check_tolerance(tolerance)
     family = get_family(spec.corollary_id)
-    plans = _plan(family, spec)
+    params = _require_params(spec, family.param_names)
+    plans = _plan(family, params, spec.bases)
     tol = tolerance if tolerance is not None else verification_tolerance(
         max(plan.order for plan in plans)
     )
@@ -468,7 +467,7 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
     return VerificationReport(
         corollary_id=spec.corollary_id,
         kind=family.kind,
-        parameters={name: int(value) for name, value in spec.parameters.items()},  # as checked
+        parameters=params,
         method=method,
         tolerance=tol,
         members=members,

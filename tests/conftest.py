@@ -12,7 +12,7 @@ from graphenergy import (
     path_graph,
     random_graph,
 )
-from graphenergy.families import _plan, get_family
+from graphenergy.families import _plan, _require_params, get_family
 from graphenergy.graphs import check_order
 
 
@@ -58,4 +58,6 @@ def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def instantiate_family(spec: FamilySpec) -> list[Graph]:
     """Construct the member graphs of a family instance."""
-    return [plan.build() for plan in _plan(get_family(spec.corollary_id), spec)]
+    family = get_family(spec.corollary_id)
+    params = _require_params(spec, family.param_names)
+    return [plan.build() for plan in _plan(family, params, spec.bases)]

@@ -151,8 +151,8 @@ MUTANTS = (
     # the caller's bases, and the one check a base pair gets
     Mutant(
         "caller-bases-ignored", "families.py",
-        "    if not bases:\n        return family.stock",
-        "    if True:\n        return family.stock",
+        "    if not bases:\n        return tuple(build() for build in family.stock)",
+        "    if True:\n        return tuple(build() for build in family.stock)",
         ("tests/test_families.py::TestInstantiation::test_explicit_base",
          "tests/test_families.py::TestEquienergeticVerification::test_c5_3_worked_example",
          "tests/test_cli.py::TestVerify::test_custom_base"),

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from graphenergy import (
     read_graph_text,
     star_graph,
 )
+import graphenergy
 from graphenergy import families, operators
 from graphenergy.cli import build_parser, main
 
@@ -32,6 +37,17 @@ def c4_file(tmp_path):
 @pytest.fixture
 def k3_file(tmp_path):
     return write_g6(tmp_path / "k3.g6", complete_graph(3))
+
+
+def run_module(argv, **env):
+    """`python -m graphenergy *argv` in a new process whose environment adds
+    `env`, so the package is imported under it; the process imports the
+    graphenergy source these tests imported."""
+    source = str(Path(graphenergy.__file__).resolve().parent.parent)
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [source] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "graphenergy", *argv], env=env,
+                          capture_output=True, text=True)
 
 
 def run_json(capsys, argv):
@@ -410,6 +426,20 @@ class TestSweep:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value,argv,code,err", [
+        ("abc", ["verify", "C6_1", "k=1"], 2,
+         "error: SPECTRAL_MAX_ORDER must be a positive integer, got 'abc'\n"),
+        ("3", ["energy", "{k3}", "--method", "oracle"], 0, ""),
+    ], ids=["malformed", "below-the-stock-orders"])
+    def test_the_cap_setting_is_read_only_when_a_command_needs_it(self, k3_file, value, argv,
+                                                                  code, err):
+        # importing the package builds no graph, so the stock bases (orders 4
+        # and 5) and the cap setting wait until a command needs them
+        child = run_module([a.format(k3=k3_file) for a in argv], SPECTRAL_MAX_ORDER=value)
+        assert (child.returncode, child.stderr) == (code, err)
+        if code == 0:
+            assert json.loads(child.stdout)["oracle_energy"] == pytest.approx(4.0, abs=1e-10)
 
     def test_jobs_flag_is_a_usage_error(self, capsys):
         # sweeps run serially; there is no worker count to set

@@ -58,10 +58,10 @@ class TestRegistry:
         family = get_family(family_id)
         assert (family.stock == ()) == (family.complete_parts is not None)
         # without caller bases a plan's bases are the stock's graphs themselves,
-        # built once at import and not again per call
-        plans = families._plan(family, FamilySpec(family_id, in_domain_grid(family)[0]))
+        # built once on first use and not again per call
+        plans = families._plan(family, in_domain_grid(family)[0], ())
         if family.stock:  # each member goes to every base in turn
-            assert all(plan.base is family.stock[i % len(family.stock)]
+            assert all(plan.base is family.stock[i % len(family.stock)]()
                        for i, plan in enumerate(plans))
 
 
@@ -181,7 +181,7 @@ class TestMemberMaps:
         for params in grid:
             members = family.members(**params)
             assert all(arg >= 1 for _, *args in members for arg in args), params
-            plans = families._plan(family, FamilySpec(family_id, params))
+            plans = families._plan(family, params, ())
             assert {(plan.operator.name, *plan.args) for plan in plans} == set(members)
 
     @pytest.mark.parametrize("family_id", family_ids())
@@ -304,7 +304,7 @@ class TestBorderenergeticVerification:
     ])
     def test_base_and_label_come_from_the_complete_parts(self, family_id, params, label,
                                                           order):
-        for plan in families._plan(get_family(family_id), FamilySpec(family_id, params)):
+        for plan in families._plan(get_family(family_id), params, ()):
             assert (plan.base_label, plan.base.order) == (label, order)
 
     @pytest.mark.parametrize("value", [1, 2, 3])
@@ -313,7 +313,7 @@ class TestBorderenergeticVerification:
         family = get_family(family_id)
         (name,) = family.param_names
         instance = spec(family_id, **{name: value})
-        plans = families._plan(family, instance)
+        plans = families._plan(family, instance.parameters, ())
         report = verify(instance, method="formula")
         for plan, member in zip(plans, report.members, strict=True):
             assert abs(plan.base_energy_closed - energy(plan.base)) <= 1e-9 * plan.order
@@ -460,7 +460,7 @@ class TestEachCheckCanFail:
 
     def test_equal_energies_at_unequal_orders_fail(self, monkeypatch):
         # E(base + K1) = E(base), so the members agree in energy at orders 12 and 15
-        def plan(family, instance):
+        def plan(family, params, bases):
             base = cycle_graph(4)
             padded = disjoint_union([base, complete_graph(1)])
             return [families._member("split", base, 2, 1),
