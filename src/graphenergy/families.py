@@ -231,11 +231,10 @@ class Family:
     (operator name, *args) with plain +, -, * and **: it checks nothing,
     raises nothing and never sees a Graph. `domain` returns why parameters
     fall outside the family's domain, or None; the default rule is "every
-    parameter >= 1". `stock` holds one builder per base graph a caller may
-    replace, which builds its stock base on first use, never at import; its
-    length is how many the family takes, and it is empty exactly when the
-    family gives `complete_parts`, the (count, order) pairs of the complete
-    graphs whose disjoint union the base is."""
+    parameter >= 1". `stock` holds a builder, run once on first use, per base
+    graph a caller may replace; its length is how many the family takes, and
+    it is empty exactly when the family gives `complete_parts`, the (count,
+    order) pairs of the complete graphs whose disjoint union the base is."""
 
     family_id: str
     kind: str
@@ -248,12 +247,16 @@ class Family:
 
 
 def _require_params(spec: FamilySpec, names: tuple[str, ...]) -> dict[str, int]:
-    """The spec's parameters as checked ints, in the caller's order."""
     given = set(spec.parameters)
     expected = set(names)
     if given != expected:
-        parts = [f"{word} {sorted(keys)}" for word, keys in
-                 (("missing", expected - given), ("unexpected", given - expected)) if keys]
+        missing = sorted(expected - given)
+        extra = sorted(given - expected)
+        parts = []
+        if missing:
+            parts.append(f"missing {missing}")
+        if extra:
+            parts.append(f"unexpected {extra}")
         raise ValueError(
             f"{spec.corollary_id} takes parameters {sorted(expected)}: " + ", ".join(parts)
         )
@@ -385,10 +388,9 @@ def get_family(corollary_id: str) -> Family:
 
 
 def _plan(family: Family, params: dict[str, int], bases: tuple[Graph, ...]) -> list[MemberPlan]:
-    """The members of one family instance at checked parameters, made in
-    order: the bases are resolved and a base pair's orders checked, then the
-    family's domain; then the row's map gives each member, which goes to
-    every base in turn."""
+    """The members of one instance at checked params, made in order: the bases
+    are resolved and a base pair's orders checked, then the family's domain;
+    then the row's map gives each member, which goes to every base in turn."""
     bases = _bases(family, bases)
     if len(bases) == 2 and bases[0].order != bases[1].order:
         raise OutOfDomainError("the base pair must share one order")
