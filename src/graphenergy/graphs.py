@@ -8,6 +8,7 @@ threads. Vertex indices are 0-based everywhere.
 from __future__ import annotations
 
 import os
+import zlib
 from collections.abc import Sequence
 
 import numpy as np
@@ -145,7 +146,8 @@ class Graph:
         )
 
     def __hash__(self):
-        return hash((self.order, self.adjacency.tobytes()))
+        # crc32 reads the C-ordered matrix in place; tobytes() would copy it
+        return hash((self.order, zlib.crc32(self.adjacency)))
 
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, edges={self.edge_count})"

@@ -186,14 +186,19 @@ def _lines(text: str):
         pos = m.end()
 
 
-def _token_count(block: str) -> int | None:
-    """The number of tokens in the ASCII text `block`, if every line is blank
-    or two runs of ASCII digits separated by spaces or tabs; else None.
+def _digit_pairs(block: str) -> np.ndarray | None:
+    """The (k, 2) int64 array of the entries of `block`, if every line is
+    blank or two runs of ASCII digits separated by spaces or tabs; else None.
 
-    Each mask is freed once used up. Lines are counted over the token starts
-    and line breaks, taken in text order with `take` of a `flatnonzero`:
-    indexing with the irregular boolean mask itself takes twice as long.
+    Byte masks prove that layout, and such a block then parses in one
+    `np.fromstring` call, to the values `int` gives each token (leading zeros
+    included). Each mask is freed once used up. Lines are counted over the
+    token starts and line breaks, taken in text order with `take` of a
+    `flatnonzero`: indexing with the irregular boolean mask itself takes
+    twice as long.
     """
+    if not block.isascii():
+        return None
     b = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
     digit = (b >= 48) & (b <= 57)
     newline = (b == 10) | (b == 13)
@@ -210,25 +215,9 @@ def _token_count(block: str) -> int | None:
     per_line = np.diff(breaks, prepend=-1, append=is_break.size) - 1
     if not ((per_line == 0) | (per_line == 2)).all():
         return None
-    return is_break.size - breaks.size
-
-
-def _digit_pairs(block: str) -> np.ndarray | None:
-    """The (k, 2) int64 array of the entries of `block`, if every line is
-    blank or two runs of ASCII digits separated by spaces or tabs; else None.
-
-    `_token_count` checks that layout over byte masks; such a block then
-    parses in one `np.fromstring` call, to the values `int` gives each token
-    (leading zeros included).
-    """
-    if not block.isascii():
-        return None
-    count = _token_count(block)
-    if count is None:
-        return None
     values = np.fromstring(block, dtype=np.int64, sep=" ")
     # fromstring reads a blank block as [0], and saturates on overflow
-    if values.size != count or (values.size and values.max() == _INT64_MAX):
+    if values.size != is_break.size - breaks.size or (values.size and values.max() == _INT64_MAX):
         return None
     return values.reshape(-1, 2)
 
@@ -241,10 +230,10 @@ def _lower_triangle(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray | None:
         return None
     check_order(n)
     a = np.zeros((n, n), dtype=np.uint8)
-    a[i, j] = 1
+    a.ravel()[i * n + j] = 1
     if np.count_nonzero(a) != len(i):
         return None
-    a[j, i] = 1
+    a |= a.T
     return a
 
 

@@ -130,6 +130,25 @@ MUTANTS = (
         ("tests/test_io.py", "tests/test_codec_differential.py"),
     ),
     Mutant(
+        "token-layout-by-total", "io.py",
+        "if not ((per_line == 0) | (per_line == 2)).all():",
+        "if (is_break.size - breaks.size) % 2:",
+        ("tests/test_io.py::TestMatrixMarket"
+         "::test_rejects_a_line_of_one_token_when_the_block_holds_pairs_of_tokens",
+         "tests/test_io.py::TestEdgeList"
+         "::test_rejects_a_line_of_one_token_when_the_block_holds_pairs_of_tokens",
+         "tests/test_io.py::TestOnePassParse"
+         "::test_invalid_digit_blocks_reach_the_matrix_market_loop",
+         "tests/test_io.py::TestOnePassParse"
+         "::test_invalid_digit_blocks_reach_the_edge_list_loop"),
+    ),
+    Mutant(
+        "lower-triangle-unmirrored", "io.py",
+        "    a |= a.T\n    return a\n",
+        "    return a\n",
+        ("tests/test_io.py::TestOnePassParse::test_writer_output_skips_the_line_loops",),
+    ),
+    Mutant(
         "duplicate-line-accepted", "io.py",
         "if a[r - 1, c - 1]:",
         "if False:",

@@ -356,6 +356,14 @@ def test_graph_validation_holds_two_bytes_per_entry():
     assert _peak_bytes(Graph, a) <= 3 * a.size
 
 
+def test_hash_reads_the_matrix_in_place():
+    # hashing `adjacency.tobytes()` copied all n^2 bytes on every call
+    g = complete_graph(2000)
+    twin = Graph(1 - np.eye(2000, dtype=np.uint8))
+    assert twin == g and hash(twin) == hash(g)
+    assert _peak_bytes(hash, g) < g.order ** 2 / 8
+
+
 def test_adjacency_spectrum_holds_one_float64_copy():
     # numpy's eigvalsh copies the matrix once more outside tracemalloc's view
     g = random_graph(400, 0.5, seed=400)

@@ -185,6 +185,12 @@ class TestMatrixMarket:
         with pytest.raises(ValueError, match="duplicate"):
             read_matrix_market(text)
 
+    def test_rejects_a_line_of_one_token_when_the_block_holds_pairs_of_tokens(self):
+        # four tokens would read as the entries (2, 1) and (3, 1)
+        text = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2\n1 3 1\n"
+        with pytest.raises(ValueError, match="^malformed coordinate line: '2'$"):
+            read_matrix_market(text)
+
     def test_rejects_count_mismatch(self):
         text = "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 2\n2 1\n"
         with pytest.raises(ValueError, match="expected 2 entries"):
@@ -240,6 +246,11 @@ class TestEdgeList:
         with pytest.raises(ValueError, match="out of range"):
             read_edge_list("# order 2\n0 5\n")
 
+    def test_rejects_a_line_of_one_token_when_the_block_holds_pairs_of_tokens(self):
+        # four tokens would read as the edges (0, 1) and (0, 2)
+        with pytest.raises(ValueError, match="^malformed edge line: '0'$"):
+            read_edge_list("# order 3\n0\n1 0 2\n")
+
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError, match="negative"):
             read_edge_list("# order 3\n-1 2\n")
@@ -281,6 +292,7 @@ class TestOnePassParse:
         "3 3 2\n2 1\n4 1\n",  # an out-of-range index
         "3 3 2\n2 1\n2 0\n",  # a zero index
         "3 3 3\n2 1\n3 1\n",  # an entry count that does not match
+        "3 3 2\n2\n1 3 1\n",  # lines of one and three tokens, four in all
     ])
     def test_invalid_digit_blocks_reach_the_matrix_market_loop(self, entries):
         with pytest.raises(_LineLoopReached):
@@ -293,6 +305,7 @@ class TestOnePassParse:
         "# order 3\n0 1\n0 3\n",  # an out-of-range index
         "# order 0\n",  # an order below one
         "# no order\n",  # an edgeless list with no order to infer
+        "# order 3\n0\n1 0 2\n",  # lines of one and three tokens, four in all
     ])
     def test_invalid_digit_blocks_reach_the_edge_list_loop(self, text):
         with pytest.raises(_LineLoopReached):
