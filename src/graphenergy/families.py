@@ -13,6 +13,7 @@ optional domain rule (see `Family`); the default rule is "every parameter >= 1".
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from collections.abc import Mapping, Sequence
@@ -530,13 +531,14 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
         params = dict(zip(family.param_names, point))
         spec = FamilySpec(corollary_id, params, bases)
         try:
-            # a report echoes the checked ints, or a value that fails the check as given
-            params = _require_params(spec, family.param_names)
             return verify(spec, method=method, tolerance=tolerance, _memo=memo)
         except (OutOfDomainError, OrderCapError) as exc:
             verdict, message = "skipped", str(exc)
         except Exception as exc:  # one failing point must not end the sweep
             verdict, message = "error", f"{type(exc).__name__}: {exc}"
+        # the report echoes the checked ints, or a value that fails the check as given
+        with contextlib.suppress(ValueError):
+            params = _require_params(spec, family.param_names)
         return VerificationReport(corollary_id, family.kind, params, method,
                                   verdict=verdict, error=message)
 

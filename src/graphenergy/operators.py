@@ -5,15 +5,15 @@ with the base adjacency matrix A, as kron(C, A) or kron(A, C). By the
 Kronecker eigenvalue theorem (Horn & Johnson, Topics in Matrix Analysis,
 Thm 4.2.12) its eigenvalues are the products of those of C and A, so its
 energy is E(C) times the base energy. `OPERATORS` describes every operator
-once: its name, parameters, coefficient matrix and side, the closed-form
-spectrum of C and the energy factor E(C) as the paper states it. The command
-line and the family catalog read that table. Every parameter must be >= 1:
-`_in_domain` makes that one check for each entry, before its coefficients,
-eigenvalues, factor or build run, and raises the entry's one message, so
-the closed forms and the public builders check nothing themselves. The
-Kronecker entries' C is A(K_r) or A(K_{r,r}), so their factors are
-E(K_r) = 2(r - 1) and E(K_{r,r}) = 2r, and the family catalog takes the C6
-bases' energies and targets from the first.
+once: its name, parameters, coefficient matrix and side, and the exact
+spectrum of C, from which the order of C, its float spectrum and the energy
+factor E(C) derive. The command line and the family catalog read that
+table. Every parameter must be >= 1: `_in_domain` makes that one check for
+each entry, before its coefficients, spectrum or build run, and raises the
+entry's one message, so the closed forms and the public builders check
+nothing themselves. The Kronecker entries' C is A(K_r) or A(K_{r,r}), so
+their factors are E(K_r) = 2(r - 1) and E(K_{r,r}) = 2r, and the family
+catalog takes the C6 bases' energies and targets from the first.
 
 A coefficient matrix is a plain uint8 array, like a Graph's adjacency.
 `_kron` checks the smaller factor of each product to be 0/1, since it only
@@ -34,6 +34,8 @@ import numpy as np
 
 from .graphs import Graph, check_order, complete_bipartite, complete_graph
 from .spectral import Spectrum
+
+ExactSpectrum = tuple[int, tuple[tuple[int, int, int], ...]]
 
 
 def _split_coefficients(p: int, q: int) -> np.ndarray:
@@ -129,27 +131,15 @@ def kronecker_product(g: Graph, h: Graph) -> Graph:
     return Graph._adopt(_kron(g.adjacency, h.adjacency))
 
 
-def _split_factor(p: int, q: int) -> float:
-    """Energy multiplier of the generalized splitting operator: p - 1 + sqrt(1 + 4pq)."""
-    return p - 1 + math.sqrt(1 + 4 * p * q)
-
-
-def _shadow_split_factor(c: int, k: int) -> float:
-    """Energy multiplier of the shadow-splitting operator: sqrt(c^2 + 4ck)."""
-    return math.sqrt(c * c + 4 * c * k)
-
-
-def _split_eigenvalues(p: int, q: int) -> tuple[tuple[float, int], ...]:
+def _split_spectrum(p: int, q: int) -> ExactSpectrum:
     """1 with multiplicity p-1, 0 with multiplicity q-1, and (1 +- sqrt(1 + 4pq)) / 2."""
-    root = math.sqrt(1 + 4 * p * q)
-    return (1.0, p - 1), (0.0, q - 1), ((1 + root) / 2, 1), ((1 - root) / 2, 1)
+    return 1 + 4 * p * q, ((2, 0, p - 1), (0, 0, q - 1), (1, 1, 1), (1, -1, 1))
 
 
-def _shadow_split_eigenvalues(c: int, k: int) -> tuple[tuple[float, int], ...]:
+def _shadow_split_spectrum(c: int, k: int) -> ExactSpectrum:
     """The matrix has rank 2: c + k - 2 zero eigenvalues plus the two roots
     (c +- sqrt(c^2 + 4ck)) / 2 of its quotient."""
-    root = math.sqrt(c * c + 4 * c * k)
-    return (0.0, c + k - 2), ((c + root) / 2, 1), ((c - root) / 2, 1)
+    return c * c + 4 * c * k, ((0, 0, c + k - 2), (c, 1, 1), (c, -1, 1))
 
 
 @dataclass(frozen=True)
@@ -163,9 +153,9 @@ class Operator:
       parameters by name.
     - `coefficients(*args)`: the coefficient matrix C.
     - `coefficient_first`: True for kron(C, A), False for kron(A, C).
-    - `eigenvalues(*args)`: the closed-form spectrum of C, as
-      (eigenvalue, multiplicity) pairs.
-    - `factor(*args)`: the energy factor E(C), in the paper's closed form.
+    - `spectrum(*args)`: the one closed form: C's eigenvalues (x + y sqrt(d)) / 2
+      as (d, ((x, y, multiplicity), ...)) in integers. The order of C
+      (`dimension`), its floats and its energy factor E(C) derive from it.
     - `build(g, *args)`: the operator graph of base g.
     - `label`, `member`: a family member's check context and description,
       formatted with the parameters by name (`member` also with `label` and
@@ -178,20 +168,32 @@ class Operator:
     domain: str
     coefficients: Callable[..., np.ndarray]
     coefficient_first: bool
-    eigenvalues: Callable[..., tuple[tuple[float, int], ...]]
-    factor: Callable[..., float]
+    spectrum: Callable[..., ExactSpectrum]
     build: Callable[..., Graph]
     label: str
     member: str = "{label} of {base}"
     cli: bool = True
 
     def dimension(self, *args: int) -> int:
-        """Order of C, so the operator graph has dimension * base order vertices."""
-        return sum(count for _, count in self.eigenvalues(*args))
+        """Order of C, an exact int: the operator graph has dimension * base order vertices."""
+        return sum(count for _, _, count in self.spectrum(*args)[1])
 
     def coefficient_spectrum(self, *args: int) -> Spectrum:
-        values, counts = zip(*self.eigenvalues(*args))
-        return Spectrum(np.repeat(values, counts))
+        d, triples = self.spectrum(*args)
+        return Spectrum(np.repeat([(x + y * math.sqrt(d)) / 2 for x, y, _ in triples],
+                                  [count for _, _, count in triples]))
+
+    def factor(self, *args: int) -> float:
+        """The energy factor E(C), the sum of |x + y sqrt(d)| / 2. Each sign is
+        decided in integers (the sign of x when x^2 > y^2 d, else that of y),
+        so the sum is (a + b sqrt(d)) / 2 with integers a and b, and only that
+        last expression is evaluated in floats."""
+        d, triples = self.spectrum(*args)
+        a = b = 0
+        for x, y, count in triples:
+            sign = -1 if (x < 0 if x * x > y * y * d else y < 0) else 1
+            a, b = a + sign * x * count, b + sign * y * count
+        return (a + b * math.sqrt(d)) / 2
 
     def label_for(self, args: tuple[int, ...]) -> str:
         return self.label.format(**dict(zip(self.params, args)))
@@ -202,16 +204,16 @@ class Operator:
 
 
 def _in_domain(op: Operator) -> Operator:
-    """`op` with its coefficients, eigenvalues, factor and build raising
-    ValueError(op.domain) for a parameter < 1 before they run."""
+    """`op` with its coefficients, spectrum (so every form derived from it)
+    and build raising ValueError(op.domain) for a parameter < 1 before they run."""
     def checked(form: Callable, skip: int = 0) -> Callable:
         def form_in_domain(*args):
             if min(args[skip:]) < 1:
                 raise ValueError(op.domain.format(**dict(zip(op.params, args[skip:]))))
             return form(*args)
         return form_in_domain
-    return replace(op, coefficients=checked(op.coefficients), eigenvalues=checked(op.eigenvalues),
-                   factor=checked(op.factor), build=checked(op.build, skip=1))
+    return replace(op, coefficients=checked(op.coefficients), spectrum=checked(op.spectrum),
+                   build=checked(op.build, skip=1))
 
 
 # Builders look up the public functions by name when called, so rebinding
@@ -219,8 +221,7 @@ def _in_domain(op: Operator) -> Operator:
 _KRON_COMPLETE_BIPARTITE = Operator(
     "kron-complete-bipartite", ("r",), "complete-bipartite part size must be >= 1, got r={r}",
     lambda r: complete_bipartite(r, r).adjacency, False,
-    lambda r: ((r, 1), (0, 2 * r - 2), (-r, 1)),
-    lambda r: 2.0 * r,  # E(K_{r,r})
+    lambda r: (0, ((2 * r, 0, 1), (0, 0, 2 * r - 2), (-2 * r, 0, 1))),  # E(K_{r,r}) = 2r
     lambda g, r: kronecker_product(g, complete_bipartite(r, r)),
     "kron with complete-bipartite({r},{r})", "kron of {base} with complete-bipartite({r},{r})",
     cli=False,
@@ -229,37 +230,34 @@ _KRON_COMPLETE_BIPARTITE = Operator(
 OPERATORS: dict[str, Operator] = {op.name: _in_domain(op) for op in (
     Operator(
         "split", ("p", "q"), "splitting parameters must be >= 1, got p={p}, q={q}",
-        _split_coefficients, True, _split_eigenvalues, _split_factor,
+        _split_coefficients, True, _split_spectrum,
         lambda g, p, q: generalized_splitting(g, p, q),
         "splitting(p={p},q={q})",
     ),
     Operator(
         "shadow-split", ("c", "k"), "shadow-splitting parameters must be >= 1, got c={c}, k={k}",
-        _shadow_split_coefficients, True, _shadow_split_eigenvalues, _shadow_split_factor,
+        _shadow_split_coefficients, True, _shadow_split_spectrum,
         lambda g, c, k: shadow_splitting(g, c, k),
         "shadow-splitting(c={c},k={k})",
     ),
     Operator(
         "shadow", ("m",), "shadow multiplicity must be >= 1, got {m}",
         lambda m: np.ones((m, m), dtype=np.uint8), True,
-        lambda m: ((m, 1), (0, m - 1)),
-        lambda m: float(m),
+        lambda m: (0, ((2 * m, 0, 1), (0, 0, m - 1))),
         lambda g, m: m_shadow(g, m),
         "shadow(m={m})",
     ),
     Operator(
         "splitting", ("m",), "splitting multiplicity must be >= 1, got {m}",
         lambda m: _split_coefficients(1, m), True,
-        lambda m: _split_eigenvalues(1, m),
-        lambda m: _split_factor(1, m),
+        lambda m: _split_spectrum(1, m),
         lambda g, m: m_splitting(g, m),
         "splitting(m={m})",
     ),
     Operator(
         "kron-complete", ("r",), "complete graph order must be >= 1, got r={r}",
         lambda r: complete_graph(r).adjacency, False,
-        lambda r: ((r - 1, 1), (-1, r - 1)),
-        lambda r: 2.0 * (r - 1),  # E(K_r)
+        lambda r: (0, ((2 * r - 2, 0, 1), (-2, 0, r - 1))),  # E(K_r) = 2(r - 1)
         lambda g, r: kronecker_product(g, complete_graph(r)),
         "kron with complete({r})", "kron of {base} with complete({r})",
         cli=False,

@@ -14,6 +14,7 @@ from graphenergy import (
 )
 from graphenergy.families import _plan, _require_params, get_family
 from graphenergy.graphs import check_order
+from graphenergy.operators import Operator
 
 
 @pytest.fixture
@@ -54,6 +55,17 @@ def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
         a[u, v] = 1
         a[v, u] = 1
     return Graph(a)
+
+
+def with_wrong_factor(op: Operator) -> Operator:
+    """`op` with its energy factor wrong in the 7th digit: a fault in the
+    closed route that no integer spectrum states."""
+
+    class WrongFactor(Operator):
+        def factor(self, *args: int) -> float:
+            return super().factor(*args) * (1 + 1e-6)
+
+    return WrongFactor(**vars(op))
 
 
 def instantiate_family(spec: FamilySpec) -> list[Graph]:

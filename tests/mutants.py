@@ -41,10 +41,11 @@ class Mutant:
 
 
 MUTANTS = (
+    # K_r's top eigenvalue r + 1 instead of r - 1, so E(K_r) = 2r
     Mutant(
         "complete-energy-2r", "operators.py",
-        "lambda r: 2.0 * (r - 1),  # E(K_r)",
-        "lambda r: 2.0 * r,  # E(K_r)",
+        "(2 * r - 2, 0, 1)",
+        "(2 * r + 2, 0, 1)",
         ("tests/test_operator_table.py::test_factor_is_the_papers_formula_exactly",),
     ),
     Mutant(
@@ -82,9 +83,26 @@ MUTANTS = (
     # faults in the table, the validation and the codecs
     Mutant(
         "split-factor-last-bit", "operators.py",
-        "return p - 1 + math.sqrt(1 + 4 * p * q)",
-        "return p - 1 + math.sqrt(1 + 4 * p * q) * (1 + 2 ** -52)",
+        "return (a + b * math.sqrt(d)) / 2",
+        "return (a + b * math.sqrt(d) * (1 + 2 ** -52)) / 2",
         ("tests/test_operator_table.py::test_factor_is_the_papers_formula_exactly",),
+    ),
+    # |x + y sqrt(d)| taken with the sign of x alone: (1 - sqrt(1 + 4pq)) / 2 counts as positive
+    Mutant(
+        "factor-sign-of-x-only", "operators.py",
+        "sign = -1 if (x < 0 if x * x > y * y * d else y < 0) else 1",
+        "sign = -1 if x < 0 else 1",
+        ("tests/test_operator_table.py::test_factor_is_the_papers_formula_exactly",),
+    ),
+    # ROADMAP item 17: the order of C summed over float eigenvalues again, so a
+    # parameter too large for a float's square raises OverflowError, an "error"
+    # point, instead of meeting the dense cap
+    Mutant(
+        "order-through-floats", "operators.py",
+        "return sum(count for _, _, count in self.spectrum(*args)[1])",
+        "return len(self.coefficient_spectrum(*args))",
+        ("tests/test_operator_table.py::test_the_order_of_c_is_an_exact_int_at_any_parameter_size",
+         "tests/test_cli.py::TestSweep::test_a_parameter_too_large_for_a_float_is_a_skipped_point"),
     ),
     Mutant(
         "coefficient-first-flipped", "operators.py",
@@ -243,6 +261,14 @@ MUTANTS = (
         ("tests/test_cli.py::TestMemberCheck::test_a_wrong_factor_fails_energy",
          "tests/test_cli.py::TestMemberCheck::test_wrong_closed_eigenvalues_fail_spectrum"),
     ),
+    # a sweep point's parameters checked before `verify` checks them again
+    Mutant(
+        "sweep-checks-twice", "families.py",
+        "            return verify(spec, method=method, tolerance=tolerance, _memo=memo)\n",
+        "            _require_params(spec, family.param_names)\n"
+        "            return verify(spec, method=method, tolerance=tolerance, _memo=memo)\n",
+        ("tests/test_families.py::TestSweep::test_an_in_domain_point_checks_its_parameters_once",),
+    ),
     Mutant(
         "member-orders-unchecked", "families.py",
         "family.kind == BORDERENERGETIC or len({plan.order for plan in plans}) == 1",
@@ -252,8 +278,8 @@ MUTANTS = (
     # verdict must fail: the split entry states one base order more than it builds
     Mutant(
         "split-closed-spectrum-extra-zero", "operators.py",
-        "(0.0, q - 1)",
-        "(0.0, q)",
+        "(0, 0, q - 1)",
+        "(0, 0, q)",
         ("tests/test_families.py::TestBuiltOrder::test_split_points_pass_under_both",),
     ),
     # verdict must fail: on C5_4's iff manifold the wrong graph has the right

@@ -10,6 +10,7 @@ import pytest
 
 from graphenergy import (
     OPERATORS,
+    Spectrum,
     complete_graph,
     cycle_graph,
     decode_graph6,
@@ -22,6 +23,19 @@ from graphenergy import (
 import graphenergy
 from graphenergy import families, operators
 from graphenergy.cli import build_parser, main
+from graphenergy.operators import Operator
+
+from conftest import with_wrong_factor
+
+
+# parameters too large for a float (10**400) or for the square of one (10**160)
+BIG, HUGE = 10 ** 400, 10 ** 160
+# the dense cap's message for the first member of each family's point above
+OVER_CAP = {
+    "C5_4": f"splitting(p={BIG},q=1) would have order {4 * (BIG + 1)}",
+    "C5_8": f"splitting(p={3 * HUGE + 1},q={12 * HUGE + 2}) would have order {60 * HUGE + 12}",
+}
+CAP_100 = ", exceeding the dense cap of 100 (raise SPECTRAL_MAX_ORDER to override)"
 
 
 def write_g6(path, g):
@@ -206,9 +220,7 @@ class TestMemberCheck:
     the member once and eigensolves each distinct graph at most once."""
 
     def test_a_wrong_factor_fails_energy(self, monkeypatch, k3_file, capsys):
-        split = OPERATORS["split"]
-        monkeypatch.setitem(OPERATORS, "split", replace(
-            split, factor=lambda p, q: split.factor(p, q) * (1 + 1e-6)))
+        monkeypatch.setitem(OPERATORS, "split", with_wrong_factor(OPERATORS["split"]))
         code, payload = run_json(capsys, ["energy", k3_file, "--apply", "split:2,1",
                                           "--tol", "1e-9"])
         assert (code, payload["within_tolerance"]) == (1, False)
@@ -219,10 +231,11 @@ class TestMemberCheck:
         assert payload["tolerance"] == 1e-9
 
     def test_wrong_closed_eigenvalues_fail_spectrum(self, monkeypatch, k3_file, capsys):
-        split = OPERATORS["split"]
-        monkeypatch.setitem(OPERATORS, "split", replace(
-            split, eigenvalues=lambda p, q: tuple(
-                (value * (1 + 1e-6), count) for value, count in split.eigenvalues(p, q))))
+        class WrongFloats(Operator):  # C's float eigenvalues, each wrong in the 7th digit
+            def coefficient_spectrum(self, *args: int) -> Spectrum:
+                return Spectrum(super().coefficient_spectrum(*args).values * (1 + 1e-6))
+
+        monkeypatch.setitem(OPERATORS, "split", WrongFloats(**vars(OPERATORS["split"])))
         code, payload = run_json(capsys, ["spectrum", k3_file, "--apply", "split:2,1",
                                           "--tol", "1e-9"])
         assert (code, payload["within_tolerance"]) == (1, False)
@@ -373,11 +386,19 @@ class TestSweep:
         assert code == 0
         assert sorted(r["verdict"] for r in payload) == ["pass", "pass", "pass", "skipped"]
 
-    def test_a_parameter_too_large_for_a_float_is_an_error_point(self, capsys):
-        code, payload = run_json(capsys, ["sweep", "C5_4", f"p={10 ** 400}", "q=1"])
+    @pytest.mark.parametrize("argv,params", [
+        (["C5_4", f"p={BIG}", "q=1"], {"p": BIG, "q": 1}),
+        (["C5_8", f"m={HUGE}", "--method", "formula"], {"m": HUGE}),
+    ], ids=["C5_4-10**400", "C5_8-10**160-formula"])
+    def test_a_parameter_too_large_for_a_float_is_a_skipped_point(self, capsys, monkeypatch,
+                                                                  argv, params):
+        # the order of C is an exact int at any parameter size, so the dense
+        # cap refuses the point before anything takes a float square root
+        monkeypatch.setenv("SPECTRAL_MAX_ORDER", "100")
+        code, payload = run_json(capsys, ["sweep", *argv])
         assert code == 1
-        assert [r["verdict"] for r in payload] == ["error"]
-        assert payload[0]["error"] == "OverflowError: int too large to convert to float"
+        assert [(r["verdict"], r["parameters"]) for r in payload] == [("skipped", params)]
+        assert payload[0]["error"] == OVER_CAP[argv[0]] + CAP_100
 
     @pytest.mark.parametrize("exc", [
         np.linalg.LinAlgError("Eigenvalues did not converge"),
@@ -488,19 +509,22 @@ class TestParser:
         assert out == ""
         assert err == f"error: out of memory: {detail}\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["construct", "split:{big},1", "{c4}"],
-        ["energy", "{c4}", "--apply", "shadow-split:1,{big}"],
-        ["verify", "C5_4", "p={big}", "q=1"],
-    ], ids=["construct", "energy", "verify"])
-    def test_a_parameter_too_large_for_a_float_exits_2_with_one_line(self, capsys, c4_file,
-                                                                      argv):
-        # the closed forms take the square root of the parameters before the
-        # order cap is checked, and math.sqrt raises OverflowError
-        assert main([a.format(big=10 ** 400, c4=c4_file) for a in argv]) == 2
+    @pytest.mark.parametrize("argv,message", [
+        (["construct", f"split:{BIG},1", "{c4}"],
+         f"splitting graph (p={BIG}, q=1) would have order {4 * (BIG + 1)}"),
+        (["energy", "{c4}", "--apply", f"shadow-split:1,{BIG}"],
+         f"shadow-splitting graph (c=1, k={BIG}) would have order {4 * (BIG + 1)}"),
+        (["verify", "C5_4", f"p={BIG}", "q=1"], OVER_CAP["C5_4"]),
+        (["verify", "C5_8", f"m={HUGE}", "--method", "formula"], OVER_CAP["C5_8"]),
+    ], ids=["construct", "energy", "verify", "verify-C5_8-formula"])
+    def test_a_parameter_too_large_for_a_float_exits_2_with_one_line(self, capsys, monkeypatch,
+                                                                      c4_file, argv, message):
+        # the order of C is an exact int, so the one line is the dense cap's
+        monkeypatch.setenv("SPECTRAL_MAX_ORDER", "100")
+        assert main([a.format(c4=c4_file) for a in argv]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: int too large to convert to float\n"
+        assert err == f"error: {message}{CAP_100}\n"
 
     @pytest.mark.parametrize("argv,message", [
         (["gen", "union"], "union needs at least one member spec, e.g. complete:7"),

@@ -28,7 +28,7 @@ from graphenergy import families, jsonio
 from graphenergy.families import FAMILIES, METHODS, get_family
 from graphenergy.graphs import MAX_ORDER_ENV_VAR
 
-from conftest import instantiate_family
+from conftest import instantiate_family, with_wrong_factor
 
 
 def spec(corollary_id, *bases, **params):
@@ -412,10 +412,10 @@ class TestBuiltOrder:
         split = OPERATORS["split"]
 
         def one_zero_too_many(p, q):
-            one, _, *roots = split.eigenvalues(p, q)
-            return (one, (0.0, q), *roots)
+            d, (one, _, *roots) = split.spectrum(p, q)
+            return d, (one, (0, 0, q), *roots)
 
-        monkeypatch.setitem(OPERATORS, "split", replace(split, eigenvalues=one_zero_too_many))
+        monkeypatch.setitem(OPERATORS, "split", replace(split, spectrum=one_zero_too_many))
         borderenergetic = spec("C6_1", k=1)
         for point in [*self.SPLIT_POINTS, borderenergetic]:
             for method in ("oracle", "both"):
@@ -435,9 +435,7 @@ class TestEachCheckCanFail:
     @pytest.fixture
     def split_factor_off(self, monkeypatch):
         # the split entry's closed energy factor, wrong in its 7th digit
-        split = OPERATORS["split"]
-        monkeypatch.setitem(OPERATORS, "split", replace(
-            split, factor=lambda p, q: split.factor(p, q) * (1 + 1e-6)))
+        monkeypatch.setitem(OPERATORS, "split", with_wrong_factor(OPERATORS["split"]))
 
     def test_only_both_holds_the_routes_against_each_other(self, split_factor_off):
         point = spec("C5_1", p=1, q=2)
@@ -552,6 +550,21 @@ class TestSweep:
         grid = [{"c": 1, "k": 2}, {"c": 1, "k": 4}, {"c": 2, "k": 2}, {"c": 2, "k": 4}]
         assert calls == [(threading.get_ident(), point) for point in grid]
         assert [r.parameters for r in reports] == grid
+
+    def test_an_in_domain_point_checks_its_parameters_once(self, monkeypatch):
+        # `verify` checks them; the sweep checks again only for the echo of a
+        # skipped or error report
+        checked = []
+        real = families._require_params
+
+        def counting(spec, names):
+            checked.append(dict(spec.parameters))
+            return real(spec, names)
+
+        monkeypatch.setattr(families, "_require_params", counting)
+        reports = sweep("C5_5", {"c": [1, 2], "k": [2, 4]}, method="formula")
+        assert [r.verdict for r in reports] == ["pass", "fail", "fail", "pass"]
+        assert checked == [r.parameters for r in reports]
 
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError, match="empty range"):

@@ -1,11 +1,13 @@
 """The operator table against the paper's closed forms and the dense routes.
 
-Every entry of `OPERATORS` is an adjacency kron(C, A) or kron(A, C). Its
-energy factor must be the paper's literal formula, and that formula must be
-E(C): the sum of |eigenvalue| over the closed-form spectrum of C and over a
-dense eigensolve of C (Horn & Johnson, Topics in Matrix Analysis,
-Thm 4.2.12). The factor is compared with those sums to a tolerance only: the
-literal formula and the sum can differ in the last bit.
+Every entry of `OPERATORS` is an adjacency kron(C, A) or kron(A, C) and
+states the exact spectrum of C. The energy factor derived from it must be
+the paper's literal formula, bit for bit, and that formula must be E(C): the
+sum of |eigenvalue| over the float spectrum of C and over a dense eigensolve
+of C (Horn & Johnson, Topics in Matrix Analysis, Thm 4.2.12). The factor is
+compared with those sums to a tolerance only: the literal formula and the
+sum can differ in the last bit. The order of C, summed from the exact
+multiplicities, is an int at any parameter size.
 """
 
 import itertools
@@ -48,6 +50,17 @@ PAPER_FACTORS = {
     "complete-bipartite-kron": lambda r: 2 * math.sqrt(r * r),
 }
 
+# the order of each entry's C
+ORDERS = {
+    "split": lambda p, q: p + q,
+    "shadow-split": lambda c, k: c + k,
+    "shadow": lambda m: m,
+    "splitting": lambda m: 1 + m,
+    "kron-complete": lambda r: r,
+    "kron-complete-bipartite": lambda r: 2 * r,
+    "complete-bipartite-kron": lambda r: 2 * r,
+}
+
 BASES = [cycle_graph(4), complete_graph(3), random_graph(5, 0.5, seed=5),
          disjoint_union([path_graph(3), complete_graph(2)])]
 
@@ -88,6 +101,18 @@ def test_factor_is_the_energy_of_the_coefficient_matrix(name):
         assert np.max(np.abs(closed.values - dense[::-1])) <= 1e-9 * dim, args
 
 
+@pytest.mark.parametrize("name", PAPER_FACTORS)
+def test_the_order_of_c_is_an_exact_int_at_any_parameter_size(name):
+    # summed from the exact multiplicities, so no parameter is too large for a float
+    op = OPERATORS[name]
+    for args in grid(op):
+        assert op.dimension(*args) == len(op.coefficients(*args)) == ORDERS[name](*args), args
+    for big in (10 ** 20, 10 ** 160):
+        for args in itertools.product((1, big), repeat=len(op.params)):
+            dim = op.dimension(*args)
+            assert type(dim) is int and dim == ORDERS[name](*args), args
+
+
 # each entry's one message for a parameter < 1, with the parameters filled in
 DOMAIN_MESSAGES = {
     "split": "splitting parameters must be >= 1, got p={}, q={}",
@@ -114,7 +139,7 @@ def test_every_closed_form_rejects_a_parameter_below_one(name, bad):
         args = [1] * len(op.params)
         args[position] = bad
         message = f"^{re.escape(DOMAIN_MESSAGES[name].format(*args))}$"
-        for form in (op.coefficients, op.eigenvalues, op.factor, op.dimension,
+        for form in (op.coefficients, op.spectrum, op.factor, op.dimension,
                      op.coefficient_spectrum):
             with pytest.raises(ValueError, match=message):
                 form(*args)
