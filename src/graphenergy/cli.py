@@ -5,10 +5,11 @@ Graphs are always read from and written to files (or stdout); structured
 results are emitted as deterministic JSON. Exit status is 0 when every
 verification in the invocation passed, 1 when one failed, 2 on usage errors.
 
-`energy --apply` and `spectrum --apply` check one member on the same two
-routes as `verify`. Under `--method both`, `energy`'s `within_tolerance`
-means |formula - oracle| <= tol, and `spectrum`'s means that the largest
-elementwise delta of the two spectra is <= tol.
+`energy --apply` and `spectrum --apply` check one member's two routes
+against each other under `--method both`, by `spectral.agreement`: `energy`'s
+`within_tolerance` means |formula - oracle| <= tol, and `spectrum`'s that the
+two spectra have equal lengths and their largest elementwise delta is <= tol.
+Unlike `verify`, neither holds the built order against the plan's.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .io import FORMATS, read_graph_text, write_graph_text
 from .operators import OPERATORS, Operator, kronecker_product
 # unused here, but bench/tests/test_bench_spans.py reads cli.generalized_splitting
 from .operators import generalized_splitting  # noqa: F401
-from .spectral import Spectrum, adjacency_spectrum, check_tolerance, verification_tolerance
+from .spectral import (Spectrum, adjacency_spectrum, agreement, check_tolerance,
+                       verification_tolerance)
 
 _EXTENSION_FORMATS = {".g6": "graph6", ".graph6": "graph6", ".mtx": "mtx",
                       ".edges": "edges", ".txt": "edges"}
@@ -126,12 +128,14 @@ def _parse_bindings(pairs: list[str], shape: str, parse: Callable[[str, str], ob
 
 
 def _parse_range(value: str, pair: str) -> list[int]:
-    """A range like 1..5, -1,1 or 3."""
+    """A range like 1..5, -1,1 or 3. A range of more than sys.maxsize values
+    is refused before anything is allocated."""
     if ".." in value:
-        lo_text, _, hi_text = value.partition("..")
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = (int(v) for v in value.split("..", 1))
         if hi < lo:
             raise ValueError(f"empty range {pair!r}")
+        if hi - lo >= sys.maxsize:
+            raise ValueError(f"range {pair!r} holds more than {sys.maxsize} values")
         return list(range(lo, hi + 1))
     return [int(v) for v in value.split(",")]
 
@@ -207,7 +211,7 @@ def cmd_member(args) -> int:
         report.update(edge_count=g.edge_count, method=args.method, formula_energy=predicted,
                       oracle_energy=oracle)
         delta_key, routes = "delta", (predicted, oracle)
-    largest, within = families._agreement(routes, tol) if args.method == "both" else (None, None)
+    largest, within = agreement(routes, tol) if args.method == "both" else (None, None)
     report.update({delta_key: largest, "tolerance": tol, "within_tolerance": within})
     _write_json(report, args.output)
     return 0 if within is not False else 1

@@ -34,6 +34,7 @@ from .operators import OPERATORS, Operator
 from .spectral import (
     Spectrum,
     adjacency_spectrum,
+    agreement,
     check_tolerance,
     structured_spectrum,
     verification_tolerance,
@@ -77,16 +78,6 @@ def _solved(memo: dict, key, build: Callable[[], Graph] | None = None) -> Spectr
     if spectrum is None:
         spectrum = memo[key] = adjacency_spectrum(key if build is None else build())
     return spectrum
-
-
-def _agreement(values, tol: float) -> tuple[float | None, bool]:
-    """The largest delta between two present (not None) energies or spectra,
-    None when fewer than two are present, and whether every such delta is
-    within `tol`: the one rule by which routes, members and targets agree."""
-    present = [v for v in values if v is not None]
-    deltas = [a.max_delta(b) if isinstance(a, Spectrum) else abs(a - b)
-              for a, b in itertools.combinations(present, 2)]
-    return max(deltas, default=None), all(d <= tol for d in deltas)
 
 
 @dataclass(frozen=True)
@@ -455,7 +446,7 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
     groups = [(m.target_energy, m.predicted_energy, m.measured_energy) for m in members]
     if family.kind == EQUIENERGETIC:
         groups += [[m.predicted_energy for m in members], [m.measured_energy for m in members]]
-    energies_equal = all(_agreement(group, tol)[1] for group in groups)
+    energies_equal = all(agreement(group, tol)[1] for group in groups)
     # a Spectrum holds one value per vertex of the built graph, quotient zeros
     # included; a borderenergetic member is matched against K_N of its own order
     orders_equal = all(len(s) == plan.order for s, plan in zip(spectra, plans)) and (
@@ -463,7 +454,7 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
     )
 
     cospectral = [
-        {"pair": [i, j], "cospectral": spectra[i].matches(spectra[j], tol)}
+        {"pair": [i, j], "cospectral": agreement((spectra[i], spectra[j]), tol)[1]}
         for i, j in itertools.combinations(range(len(spectra)), 2)
     ] if spectra else None
 

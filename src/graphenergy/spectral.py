@@ -2,7 +2,7 @@
 
 The eigensolver takes a Graph and delegates to LAPACK
 (numpy.linalg.eigvalsh). Energy is the sum of absolute adjacency
-eigenvalues.
+eigenvalues. `agreement` is the one rule by which energies or spectra agree.
 
 A graph is eigensolved through its false-twin quotient. Vertices with equal
 adjacency rows are false twins: they are mutually non-adjacent, because the
@@ -28,6 +28,7 @@ n^2 / 8 bytes, and sorts them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -97,15 +98,18 @@ class Spectrum:
         groups.append((head, count))
         return groups
 
-    def max_delta(self, other: "Spectrum") -> float:
-        """Largest elementwise |difference| from a spectrum of the same length."""
-        if len(self) != len(other):
-            raise ValueError(f"spectra of lengths {len(self)} and {len(other)} do not pair up")
-        return float(np.max(np.abs(self.values - other.values)))
 
-    def matches(self, other: "Spectrum", tolerance: float) -> bool:
-        """True iff both spectra have equal length and agree elementwise."""
-        return len(self) == len(other) and self.max_delta(other) <= tolerance
+def agreement(values, tol: float) -> tuple[float | None, bool]:
+    """The largest delta between two present (not None) energies or spectra,
+    elementwise for spectra and None if there is none, and whether every two
+    agree within `tol`. Two spectra of unequal lengths disagree and add no
+    delta: they are never subtracted, so a length-1 one cannot broadcast."""
+    present = [v for v in values if v is not None]
+    pairs = list(itertools.combinations(present, 2))
+    deltas = [float(np.max(np.abs(a.values - b.values))) if isinstance(a, Spectrum)
+              else abs(a - b) for a, b in pairs
+              if not isinstance(a, Spectrum) or len(a) == len(b)]
+    return max(deltas, default=None), len(deltas) == len(pairs) and all(d <= tol for d in deltas)
 
 
 def _twin_quotient(adjacency: np.ndarray) -> tuple[np.ndarray, int]:

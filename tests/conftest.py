@@ -1,9 +1,11 @@
 from collections.abc import Iterable
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from graphenergy import (
+    OPERATORS,
     FamilySpec,
     Graph,
     complete_bipartite,
@@ -66,6 +68,18 @@ def with_wrong_factor(op: Operator) -> Operator:
             return super().factor(*args) * (1 + 1e-6)
 
     return WrongFactor(**vars(op))
+
+
+def split_with_one_zero_too_many() -> Operator:
+    """The split entry with its closed spectrum stating q zeros, not q - 1:
+    C's order, so each member's planned order, is one base order too large."""
+    split = OPERATORS["split"]
+
+    def one_zero_too_many(p, q):
+        d, (one, _, *roots) = split.spectrum(p, q)
+        return d, (one, (0, 0, q), *roots)
+
+    return replace(split, spectrum=one_zero_too_many)
 
 
 def instantiate_family(spec: FamilySpec) -> list[Graph]:

@@ -255,11 +255,27 @@ MUTANTS = (
     ),
     # the one agreement rule of verify, `energy` and `spectrum` passes any delta
     Mutant(
-        "agreement-unchecked", "families.py",
+        "agreement-unchecked", "spectral.py",
         "all(d <= tol for d in deltas)",
         "True",
         ("tests/test_cli.py::TestMemberCheck::test_a_wrong_factor_fails_energy",
          "tests/test_cli.py::TestMemberCheck::test_wrong_closed_eigenvalues_fail_spectrum"),
+    ),
+    # spectra of unequal lengths are subtracted: a usage error, or a broadcast
+    Mutant(
+        "agreement-pairs-unequal-lengths", "spectral.py",
+        "              if not isinstance(a, Spectrum) or len(a) == len(b)]",
+        "              ]",
+        ("tests/test_cli.py::TestMemberCheck::test_spectra_of_unequal_lengths_fail_spectrum",
+         "tests/test_spectral.py::TestAgreement::test_spectra_pair_values_in_order"),
+    ),
+    # a range too long for a list reaches `list(range(...))`, whose error names nothing
+    Mutant(
+        "range-length-unchecked", "cli.py",
+        "        if hi - lo >= sys.maxsize:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::TestSweep::test_a_range_too_long_for_a_list_is_refused_by_name",
+         "tests/test_cli_contract.py"),
     ),
     # a sweep point's parameters checked before `verify` checks them again
     Mutant(

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from graphenergy import Graph, Spectrum, adjacency_spectrum, verification_tolerance
-from graphenergy.spectral import check_tolerance
+from graphenergy.spectral import agreement, check_tolerance
 
 SYMMETRY_TOLERANCE = 1e-12
 
@@ -100,7 +100,7 @@ def are_cospectral(a: Graph, b: Graph, tolerance: float | None = None) -> bool:
         return False
     if tolerance is None:
         tolerance = verification_tolerance(max(a.order, b.order))
-    return adjacency_spectrum(a).matches(adjacency_spectrum(b), tolerance)
+    return agreement((adjacency_spectrum(a), adjacency_spectrum(b)), tolerance)[1]
 
 
 def twin_classes(g: Graph) -> list[list[int]]:

@@ -25,7 +25,7 @@ from graphenergy import families, operators
 from graphenergy.cli import build_parser, main
 from graphenergy.operators import Operator
 
-from conftest import with_wrong_factor
+from conftest import split_with_one_zero_too_many, with_wrong_factor
 
 
 # parameters too large for a float (10**400) or for the square of one (10**160)
@@ -247,6 +247,15 @@ class TestMemberCheck:
             assert list(payload[route]) == ["values", "multiplicities"]
             assert sum(count for _, count in payload[route]["multiplicities"]) == 9
 
+    def test_spectra_of_unequal_lengths_fail_spectrum(self, monkeypatch, c4_file, capsys):
+        # the closed spectrum states 16 values for the member's 12 vertices
+        monkeypatch.setitem(OPERATORS, "split", split_with_one_zero_too_many())
+        assert main(["spectrum", c4_file, "--apply", "split:2,1"]) == 1
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert (payload["within_tolerance"], payload["max_delta"], err) == (False, None, "")
+        assert [len(payload[route]["values"]) for route in ("formula", "oracle")] == [16, 12]
+
     # shadow:1 builds a copy of the base, which is eigensolved once
     @pytest.mark.parametrize("spec", ["split:2,1", "shadow-split:2,3", "shadow:3", "shadow:1",
                                       "splitting:2"])
@@ -372,6 +381,15 @@ class TestSweep:
 
     def test_empty_range_is_usage_error(self, capsys):
         assert main(["sweep", "C6_1", "k=3..1"]) == 2
+
+    # 10**19 values, and sys.maxsize + 1, the fewest refused: a range of
+    # sys.maxsize values would be allocated, so none is run
+    @pytest.mark.parametrize("binding", ["m=1..10000000000000000000", f"m=0..{sys.maxsize}"])
+    def test_a_range_too_long_for_a_list_is_refused_by_name(self, monkeypatch, capsys, binding):
+        monkeypatch.setattr(families, "sweep", lambda *args, **kwargs: pytest.fail("swept"))
+        assert main(["sweep", "C5_8", binding, "--method", "formula"]) == 2
+        message = f"range {binding!r} holds more than {sys.maxsize} values"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_c5_1_skips_p_zero(self, capsys):
         code, payload = run_json(capsys, ["sweep", "C5_1", "p=0..1", "q=1"])

@@ -3,7 +3,6 @@ import math
 import operator
 import re
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from graphenergy import families, jsonio
 from graphenergy.families import FAMILIES, METHODS, get_family
 from graphenergy.graphs import MAX_ORDER_ENV_VAR
 
-from conftest import instantiate_family, with_wrong_factor
+from conftest import instantiate_family, split_with_one_zero_too_many, with_wrong_factor
 
 
 def spec(corollary_id, *bases, **params):
@@ -409,13 +408,7 @@ class TestBuiltOrder:
             assert verify(point, "both").verdict == "pass"
 
     def test_a_closed_spectrum_with_one_zero_too_many_fails(self, monkeypatch):
-        split = OPERATORS["split"]
-
-        def one_zero_too_many(p, q):
-            d, (one, _, *roots) = split.spectrum(p, q)
-            return d, (one, (0, 0, q), *roots)
-
-        monkeypatch.setitem(OPERATORS, "split", replace(split, spectrum=one_zero_too_many))
+        monkeypatch.setitem(OPERATORS, "split", split_with_one_zero_too_many())
         borderenergetic = spec("C6_1", k=1)
         for point in [*self.SPLIT_POINTS, borderenergetic]:
             for method in ("oracle", "both"):
@@ -470,6 +463,9 @@ class TestEachCheckCanFail:
             assert (report.verdict, report.orders_equal, report.energies_equal) == (
                 "fail", False, True)
             assert [m.order for m in report.members] == [12, 15]
+            # spectra of unequal lengths are never cospectral, and never raise
+            assert report.cospectral == (
+                None if method == "formula" else [{"pair": [0, 1], "cospectral": False}])
 
 
 class TestCospectralFlags:

@@ -235,15 +235,29 @@ class TestSpectrumType:
             again = Spectrum(np.array(data.draw(st.permutations(values)))).values
             assert again.tobytes() == first.tobytes()
 
-    def test_matches_requires_same_length(self):
-        assert not Spectrum(np.array([1.0])).matches(Spectrum(np.array([1.0, 0.0])), 1.0)
 
-    def test_max_delta_pairs_values_in_order(self):
+class TestAgreement:
+    def test_spectra_of_unequal_lengths_disagree(self):
+        pair = (Spectrum(np.array([1.0])), Spectrum(np.array([1.0, 0.0])))
+        assert spectral.agreement(pair, 1.0) == (None, False)
+
+    def test_spectra_pair_values_in_order(self):
         a = Spectrum(np.array([2.0, 0.0, -1.0]))
-        assert a.max_delta(Spectrum(np.array([1.5, 0.25, -1.0]))) == 0.5
-        # a length-1 spectrum would broadcast against any other
-        with pytest.raises(ValueError, match="lengths 3 and 1 do not pair up"):
-            a.max_delta(Spectrum(np.array([2.0])))
+        assert spectral.agreement((a, Spectrum(np.array([1.5, 0.25, -1.0]))), 1.0) == (0.5, True)
+        assert spectral.agreement((a, Spectrum(np.array([1.5, 0.25, -1.0]))), 0.25) == (0.5, False)
+        # a length-1 spectrum would broadcast against any other: delta 1.0, then 3.0
+        assert spectral.agreement((a, Spectrum(np.array([1.0]))), 10.0) == (None, False)
+        assert spectral.agreement((Spectrum(np.array([1.0])), a), 10.0) == (None, False)
+
+    def test_an_unequal_pair_adds_no_delta_to_the_others(self):
+        a, b = Spectrum(np.array([2.0, 0.0])), Spectrum(np.array([2.0, 0.5]))
+        assert spectral.agreement((a, b, Spectrum(np.array([2.0]))), 1.0) == (0.5, False)
+
+    def test_energies_and_absent_values(self):
+        assert spectral.agreement((None, 3.0, 3.5, None), 0.5) == (0.5, True)
+        assert spectral.agreement((3.0, 3.5, 2.0), 1.0) == (1.5, False)
+        assert spectral.agreement((None, 3.0, None), 1e-8) == (None, True)
+        assert spectral.agreement((), 1e-8) == (None, True)
 
 
 class TestStructuredSpectrum:
@@ -258,14 +272,14 @@ class TestStructuredSpectrum:
         product = structured_spectrum(matrix_spectrum(coeff),
                                       adjacency_spectrum(g))
         direct = adjacency_spectrum(generalized_splitting(g, 2, 2))
-        assert product.matches(direct, 1e-8)
+        assert spectral.agreement((product, direct), 1e-8)[1]
 
     def test_closed_form_and_eigensolved_coefficients_agree(self):
         base = adjacency_spectrum(cycle_graph(4))
         closed = structured_spectrum(OPERATORS["split"].coefficient_spectrum(1, 2), base)
         solved = structured_spectrum(
             matrix_spectrum(OPERATORS["split"].coefficients(1, 2)), base)
-        assert closed.matches(solved, 1e-12)
+        assert spectral.agreement((closed, solved), 1e-12)[1]
 
     def test_kronecker_spectrum_law_small_grid(self):
         rng = np.random.default_rng(7)
@@ -279,7 +293,7 @@ class TestStructuredSpectrum:
                 direct = matrix_spectrum(
                     np.kron(m.astype(float), g.adjacency.astype(float))
                 )
-                assert predicted.matches(direct, 1e-8)
+                assert spectral.agreement((predicted, direct), 1e-8)[1]
 
 
 class TestCospectral:
