@@ -128,10 +128,10 @@ def _parse_bindings(pairs: list[str], shape: str, parse: Callable[[str, str], ob
 
 
 def _parse_range(value: str, pair: str) -> list[int]:
-    """A range like 1..5, -1,1 or 3. A range of more than sys.maxsize values
-    is refused before anything is allocated."""
+    """A range like 1..5, -1,1 or 3."""
     if ".." in value:
-        lo, hi = (int(v) for v in value.split("..", 1))
+        lo_text, _, hi_text = value.partition("..")
+        lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise ValueError(f"empty range {pair!r}")
         if hi - lo >= sys.maxsize:

@@ -5,10 +5,11 @@ one JSON document and nothing on stderr, exit 2 prints nothing on stdout and
 one `error:` line on stderr. A parameter too large for a float, or for the
 square of one, is refused by the dense cap like any other point over it: a
 sweep point whose planned order exceeds the cap is `skipped`, never `error`,
-and `verify` of it exits 2 naming the cap. A sweep binding is a value list,
-a one-value range, or a range the parser refuses by name: a reversed one, or
-one of more values than a list can hold. The draw is derandomized, so the
-sample is the same on every run.
+and `verify` of it exits 2 naming the cap. A one-value sweep binding is
+spelt as a list or as a one-value range. Each draw also runs one extra sweep
+with a binding the parser refuses by name: a reversed range, or one of more
+values than a list can hold. The draw is derandomized, so the sample is the
+same on every run.
 """
 
 import contextlib
@@ -32,17 +33,15 @@ STOCK_ORDERS = {"C5_1": 5}  # the 4-leaf star and C4 + K1; every other stock bas
 # values too large for an int64, a float's square and a float
 VALUES = [-1, 0, 1, 2, CAP // 4 - 1, CAP // 4, CAP // 4 + 1, CAP - 1, CAP, CAP + 1,
           10 ** 18, 10 ** 160, 10 ** 400]
-# a binding's drawn values as the command line spells them. A range of 10**19
-# values is refused before it is allocated; no width from 10**6 to sys.maxsize
-# is drawn, because such a range is materialized before its first point runs
-FORMS = {
-    "list": lambda values: ",".join(map(str, values)),
-    "single": lambda values: f"{values[0]}..{values[0]}",
-    "reversed": lambda values: f"{values[0] + 1}..{values[0]}",
-    "wide": lambda values: f"{values[0]}..{values[0] + 10 ** 19 - 1}",
+# a refused binding's spelling from its first drawn value, and its message.
+# A range of 10**19 values is refused before it is allocated; no width from
+# 10**6 to sys.maxsize is drawn, because such a range is materialized before
+# its first point runs
+REFUSED = {
+    "reversed": (lambda value: f"{value + 1}..{value}", "empty range {!r}"),
+    "wide": (lambda value: f"{value}..{value + 10 ** 19 - 1}",
+             f"range {{!r}} holds more than {sys.maxsize} values"),
 }
-REFUSED = {"reversed": "empty range {!r}",
-           "wide": f"range {{!r}} holds more than {sys.maxsize} values"}
 
 
 def planned_orders(family_id: str, params: dict[str, int]) -> list[int] | None:
@@ -85,25 +84,25 @@ def test_verify_and_sweep_keep_the_contract(family_id, data):
     method = data.draw(st.sampled_from(METHODS))
     grid = {name: data.draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=2,
                                      unique=True)) for name in names}
-    forms = {name: data.draw(st.sampled_from(["list", "single"])) for name in names}
-    refused = data.draw(st.sampled_from([None, *REFUSED])) if names else None
-    if refused:
-        refused_name = data.draw(st.sampled_from(names))
-        forms[refused_name] = refused
-    bindings = {name: f"{name}={FORMS[forms[name]](values)}" for name, values in grid.items()}
+    bindings = {name: f"{name}={values[0]}..{values[0]}"
+                if len(values) == 1 and data.draw(st.booleans())
+                else f"{name}={','.join(map(str, values))}" for name, values in grid.items()}
 
-    code, out, err = run(["sweep", family_id, *bindings.values(), "--method", method])
-    if refused:
-        message = REFUSED[refused].format(bindings[refused_name])
-        assert (code, err) == (2, f"error: {message}\n")
-    else:
-        assert code in (0, 1)
-        for report in json.loads(out):
-            orders = planned_orders(family_id, report["parameters"])
-            if orders is not None and max(orders) > CAP:
-                assert report["verdict"] == "skipped", report
-                assert f"exceeding the dense cap of {CAP} " in report["error"]
-            assert report["verdict"] != "error", report
+    code, out, _ = run(["sweep", family_id, *bindings.values(), "--method", method])
+    assert code in (0, 1)
+    for report in json.loads(out):
+        orders = planned_orders(family_id, report["parameters"])
+        if orders is not None and max(orders) > CAP:
+            assert report["verdict"] == "skipped", report
+            assert f"exceeding the dense cap of {CAP} " in report["error"]
+        assert report["verdict"] != "error", report
+
+    if names:
+        name = data.draw(st.sampled_from(names))
+        spell, message = REFUSED[data.draw(st.sampled_from(sorted(REFUSED)))]
+        refused = {**bindings, name: f"{name}={spell(grid[name][0])}"}
+        code, _, err = run(["sweep", family_id, *refused.values(), "--method", method])
+        assert (code, err) == (2, f"error: {message.format(refused[name])}\n")
 
     point = {name: values[0] for name, values in grid.items()}
     code, _, err = run(["verify", family_id, *(f"{n}={v}" for n, v in point.items()),
