@@ -71,12 +71,15 @@ class FamilySpec:
     bases: tuple[Graph, ...] = ()
 
 
-def _solved(memo: dict, key, build: Callable[[], Graph] | None = None) -> Spectrum:
+def _solved(memo: dict, key, build: Callable[[], Graph] | None = None,
+            block_order: int = 1) -> Spectrum:
     """The Spectrum `memo` holds under `key`, eigensolving `build()`, or the
-    Graph `key` itself, on a miss. A failed eigensolve stores nothing."""
+    Graph `key` itself, on a miss, with the `block_order` hint of
+    `adjacency_spectrum`. A failed eigensolve stores nothing."""
     spectrum = memo.get(key)
     if spectrum is None:
-        spectrum = memo[key] = adjacency_spectrum(key if build is None else build())
+        spectrum = memo[key] = adjacency_spectrum(key if build is None else build(),
+                                                  block_order=block_order)
     return spectrum
 
 
@@ -110,7 +113,12 @@ class MemberPlan:
         carries it), the eigensolved spectrum of the member (`graph` when the
         caller built it, else built here) and, if `structured`, the member's
         spectrum from those of C and the base. Eigensolves go through `memo`
-        (see `verify`); a graph the caller built is its own key."""
+        (see `verify`); a graph the caller built is its own key. A
+        `coefficient_first` member, kron(C, A), is laid out in blocks of the
+        base order, so that order is its block-order hint: a twin-free
+        member such as split(p, 1) of a twin-free base is eigensolved
+        through its block-twin quotient, where the p copies of the base
+        collapse to one. Every other member gets the hint 1."""
         predicted = measured = closed = None
         if method in ("formula", "both"):
             base_energy = self.base_energy_closed
@@ -121,10 +129,12 @@ class MemberPlan:
                 closed = structured_spectrum(self.operator.coefficient_spectrum(*self.args),
                                              _solved(memo, self.base))
         if method in ("oracle", "both"):
+            blocks = self.base.order if self.operator.coefficient_first else 1
             if graph is not None:
-                measured = _solved(memo, graph)
+                measured = _solved(memo, graph, block_order=blocks)
             else:
-                measured = _solved(memo, (self.operator.name, self.args, self.base), self.build)
+                measured = _solved(memo, (self.operator.name, self.args, self.base), self.build,
+                                   block_order=blocks)
         return predicted, measured, closed
 
 

@@ -64,21 +64,42 @@ MUTANTS = (
     ),
     Mutant(
         "twin-weights-k", "spectral.py",
-        "first, weights = first[order], np.sqrt(counts[order])",
-        "first, weights = first[order], counts[order]",
+        "        weights = np.sqrt(counts)\n",
+        "        weights = counts\n",
         ("tests/test_spectral.py",),
     ),
     Mutant(
         "twin-zeros-dropped", "spectral.py",
-        "np.concatenate([np.linalg.eigvalsh(a), np.zeros(zeros)])",
-        "np.concatenate([np.linalg.eigvalsh(a)])",
+        "np.concatenate([np.linalg.eigvalsh(q), np.zeros(zeros)])",
+        "np.concatenate([np.linalg.eigvalsh(q)])",
         ("tests/test_spectral.py",),
     ),
     Mutant(
         "twin-counts-unordered", "spectral.py",
-        "first, weights = first[order], np.sqrt(counts[order])",
-        "first, weights = first[order], np.sqrt(counts)",
+        "return first[order], counts[order]",
+        "return first[order], counts",
         ("tests/test_spectral.py",),
+    ),
+    # the block-twin step: Q's diagonal blocks weighted by s like the others,
+    # spec(D) s times instead of s - 1, and a key blind to the diagonal block
+    Mutant(
+        "block-diagonal-weighted", "spectral.py",
+        "    q[np.arange(m), :, np.arange(m)] = diagonal[first]\n",
+        "",
+        ("tests/test_spectral.py::TestBlockTwinQuotient",),
+    ),
+    Mutant(
+        "block-spectrum-s-times", "spectral.py",
+        "count - 1)",
+        "count)",
+        ("tests/test_spectral.py::TestBlockTwinQuotient",),
+    ),
+    Mutant(
+        "block-key-without-diagonal", "spectral.py",
+        "keys[:, :, k] = diagonal",
+        "keys[:, :, k] = 0",
+        ("tests/test_spectral.py::TestBlockTwinQuotient"
+         "::test_blocks_that_differ_only_in_their_diagonal_block_are_not_twins",),
     ),
     # faults in the table, the validation and the codecs
     Mutant(
@@ -133,6 +154,20 @@ MUTANTS = (
         "if padding and body[-1] & ((1 << padding) - 1):",
         "if False:",
         ("tests/test_io.py",),
+    ),
+    # graph6's decoded matrix is copied into its Graph
+    Mutant(
+        "graph6-matrix-copied", "io.py",
+        "    return Graph._adopt(a)",
+        "    return Graph(a)",
+        ("tests/test_codec_differential.py::test_decode_graph6_holds_the_matrix_once",),
+    ),
+    # the member's block-order hint: the base order for kron(A, C) members too
+    Mutant(
+        "block-hint-every-operator", "families.py",
+        "blocks = self.base.order if self.operator.coefficient_first else 1",
+        "blocks = self.base.order",
+        ("tests/test_families.py::TestBlockOrderHint",),
     ),
     # the text readers' one-pass parse, then their line loops
     Mutant(
@@ -204,21 +239,22 @@ MUTANTS = (
     # the sweep's memo and its verdicts
     Mutant(
         "memo-key-without-args", "families.py",
-        "memo, (self.operator.name, self.args, self.base), self.build)",
-        "memo, (self.operator.name, self.base), self.build)",
+        "memo, (self.operator.name, self.args, self.base), self.build,",
+        "memo, (self.operator.name, self.base), self.build,",
         ("tests/test_sweep_memo.py",),
     ),
     Mutant(
         "memo-key-by-identity", "families.py",
-        "memo, (self.operator.name, self.args, self.base), self.build)",
-        "memo, (self.operator.name, self.args, id(self.base)), self.build)",
+        "memo, (self.operator.name, self.args, self.base), self.build,",
+        "memo, (self.operator.name, self.args, id(self.base)), self.build,",
         ("tests/test_sweep_memo.py",),
     ),
     # the command line's member is built a second time for its oracle route
     Mutant(
         "member-graph-rebuilt", "families.py",
-        "if graph is not None:\n                measured = _solved(memo, graph)",
-        "if False:\n                measured = _solved(memo, graph)",
+        "if graph is not None:\n"
+        "                measured = _solved(memo, graph, block_order=blocks)",
+        "if False:\n                measured = _solved(memo, graph, block_order=blocks)",
         ("tests/test_cli.py::TestMemberCheck",),
     ),
     Mutant(

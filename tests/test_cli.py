@@ -274,9 +274,9 @@ class TestMemberCheck:
             builds.append(params)
             return op.build(g, *params)
 
-        def solve(g):
+        def solve(g, *args, **kwargs):
             solved.append(g)
-            return real_solve(g)
+            return real_solve(g, *args, **kwargs)
 
         monkeypatch.setitem(OPERATORS, name, replace(op, build=build))
         monkeypatch.setattr(families, "adjacency_spectrum", solve)

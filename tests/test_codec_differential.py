@@ -378,6 +378,25 @@ def test_adjacency_spectrum_of_a_twin_rich_member_holds_half_a_byte_per_entry():
     assert _peak_bytes(adjacency_spectrum, g) <= 0.5 * g.order ** 2
 
 
+def test_adjacency_spectrum_of_a_twin_free_split_member_holds_its_quotient():
+    # split(2, 1) of a twin-free order-300 base has no false twins, but its two
+    # copies of the base are block twins: with the base order as the block
+    # order only the order-600 quotient is cast to float64 (measured 0.54 of
+    # the full cast; 1.00 without the hint)
+    base = random_graph(300, 0.5, seed=300)
+    g = generalized_splitting(base, 2, 1)
+    assert len(np.unique(g.adjacency, axis=0)) == g.order
+    assert _peak_bytes(lambda g: adjacency_spectrum(g, 300), g) <= 0.6 * 8 * g.order ** 2
+
+
+def test_decode_graph6_holds_the_matrix_once():
+    # the matrix, the strict-triangle mask and the unpacked bits set the peak
+    # (measured 2.89 n^2 at order 400); validating through `Graph(a)`, which
+    # copies the matrix, made it 3.23 n^2
+    g = random_graph(400, 0.5, seed=400)
+    assert _peak_bytes(io.decode_graph6, io.encode_graph6(g)) <= 3.0 * g.order ** 2
+
+
 def test_kronecker_build_over_one_vertex_holds_a_few_copies_of_the_result():
     # the coefficient matrix is as large as the order-2000 result here, but
     # it is a plain array that nothing validates: the product and the

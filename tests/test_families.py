@@ -396,6 +396,27 @@ class TestMethods:
             verify(spec("C5_6"), tolerance=0.0)
 
 
+class TestBlockOrderHint:
+    @pytest.mark.parametrize("given", [False, True], ids=["built-here", "built-by-caller"])
+    @pytest.mark.parametrize("name", list(OPERATORS))
+    def test_a_kron_c_a_member_is_solved_with_the_base_order_as_block_order(
+            self, monkeypatch, name, given):
+        # kron(C, A) lays the member out as blocks of the base order; the base
+        # itself and a kron(A, C) member get no hint
+        op, base = OPERATORS[name], cycle_graph(5)
+        args = (2,) * len(op.params)
+        plan = families.MemberPlan(op, args, base)
+        real, hints = families.adjacency_spectrum, []
+
+        def solve(g, block_order=1):
+            hints.append((g.order, block_order))
+            return real(g, block_order)
+
+        monkeypatch.setattr(families, "adjacency_spectrum", solve)
+        plan.routes("both", {}, graph=plan.build() if given else None)
+        assert hints == [(5, 1), (plan.order, 5 if op.coefficient_first else 1)]
+
+
 class TestBuiltOrder:
     """A member's oracle Spectrum has one value per vertex of the graph it
     was built from, so the verdict checks that order against the plan's,
@@ -445,7 +466,8 @@ class TestEachCheckCanFail:
     def test_a_wrong_eigensolve_misses_the_target(self, monkeypatch):
         solve = families.adjacency_spectrum
         monkeypatch.setattr(families, "adjacency_spectrum",
-                            lambda g: Spectrum(solve(g).values * (1 + 1e-6)))
+                            lambda g, *args, **kwargs:
+                            Spectrum(solve(g, *args, **kwargs).values * (1 + 1e-6)))
         report = verify(spec("C6_1", k=1), "oracle")
         assert (report.verdict, report.energies_equal) == ("fail", False)
 
@@ -587,7 +609,8 @@ class TestSweep:
                                                             ranges, count, message):
         bases = (cycle_graph(5),) * count
         solved, points = [], []
-        monkeypatch.setattr(families, "adjacency_spectrum", solved.append)
+        monkeypatch.setattr(families, "adjacency_spectrum",
+                            lambda g, *args, **kwargs: solved.append(g))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             verify(FamilySpec(family_id, {name: r[0] for name, r in ranges.items()}, bases))
         monkeypatch.setattr(families, "verify", lambda spec, **kwargs: points.append(spec))

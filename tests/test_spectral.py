@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -118,6 +119,110 @@ class TestEigenvaluesSymmetric:
         assert np.max(np.abs(np.array(roots) - values)) < 1e-8
         # the polynomial itself must vanish at the computed eigenvalues
         assert np.max(np.abs(np.polyval(coeffs, values))) < 1e-8
+
+
+def _symmetric_01(rng, n: int) -> np.ndarray:
+    """A random symmetric 0/1 matrix of order n with a zero diagonal."""
+    upper = np.triu(rng.random((n, n)) < rng.choice([0.2, 0.5, 0.8]), 1)
+    return (upper | upper.T).astype(np.uint8)
+
+
+@st.composite
+def block_layouts(draw) -> np.ndarray:
+    """A symmetric 0/1 matrix of order <= 40 made of blocks with planted
+    block twins: classes of 1-3 blocks share their diagonal block D, have
+    zero blocks between them and equal blocks to every other class. Some
+    blocks then get a diagonal block of their own, so they differ from their
+    class in D alone. The blocks are shuffled."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    k = sum(sizes)
+    n = draw(st.integers(1, max(1, min(8, 40 // k))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    classes = np.repeat(np.arange(len(sizes)), sizes)[draw(st.permutations(range(k)))]
+    diagonal = [_symmetric_01(rng, n) for _ in sizes]
+    between = rng.random((len(sizes), len(sizes), n, n)) < 0.5
+    twisted = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    a = np.zeros((k, n, k, n), dtype=np.uint8)
+    for i, ci in enumerate(classes):
+        a[i, :, i] = _symmetric_01(rng, n) if twisted[i] else diagonal[ci]
+        for j, cj in enumerate(classes[:i]):
+            if ci != cj:
+                a[i, :, j] = between[min(ci, cj), max(ci, cj)]
+                a[j, :, i] = a[i, :, j].T
+    return a.reshape(k * n, k * n)
+
+
+class TestBlockTwinQuotient:
+    """The block-order hint of `adjacency_spectrum`: a twin-free graph is
+    eigensolved through its block-twin quotient, exactly, for any block
+    order that divides its order."""
+
+    @given(st.one_of(block_layouts(), st.builds(
+        lambda order, seed: _symmetric_01(np.random.default_rng(seed), order),
+        st.integers(1, 40), st.integers(0, 2**32 - 1))))
+    @settings(max_examples=200, deadline=None)
+    def test_every_block_order_that_divides_keeps_the_full_spectrum(self, a):
+        g = Graph(a)
+        full = np.linalg.eigvalsh(a.astype(float))[::-1]
+        for n in range(1, g.order + 1):
+            if g.order % n == 0:
+                values = adjacency_spectrum(g, n).values
+                assert values.shape == full.shape
+                assert np.max(np.abs(values - full)) <= 1e-9, n
+
+    @pytest.mark.parametrize("name", [name for name, op in OPERATORS.items()
+                                      if op.coefficient_first])
+    @pytest.mark.parametrize("twins", [False, True], ids=["twin-free", "twin-rich"])
+    def test_coefficient_first_operators_keep_the_full_spectrum(self, name, twins):
+        op = OPERATORS[name]
+        checked = 0
+        for base in random_graphs(40, 9, seed=len(name) + twins):
+            if (len(twin_classes(base)) < base.order) != twins:
+                continue
+            for args in itertools.product(range(1, 4), repeat=len(op.params)):
+                g = op.build(base, *args)
+                full = np.linalg.eigvalsh(g.adjacency.astype(float))[::-1]
+                values = adjacency_spectrum(g, base.order).values
+                assert np.max(np.abs(values - full)) <= 1e-9, (base, args)
+                checked += 1
+        assert checked >= 9
+
+    def test_splitting_with_one_set_solves_the_copies_once(self, monkeypatch):
+        # split(2, 1) of a twin-free base is twin-free: its two copies of the
+        # base are one class of block twins, so the order-3n member is
+        # eigensolved as its order-2n quotient and the base's own n
+        base = random_graph(30, 0.5, seed=30)
+        assert len(twin_classes(base)) == 30
+        g = generalized_splitting(base, 2, 1)
+        assert len(twin_classes(g)) == 90
+        orders, real = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: orders.append(a.shape[0]) or real(a))
+        values = adjacency_spectrum(g, 30).values
+        assert orders == [60, 30]
+        full = np.linalg.eigvalsh(g.adjacency.astype(float))[::-1]
+        assert np.max(np.abs(values - full)) <= 1e-9
+        orders.clear()
+        adjacency_spectrum(g)
+        assert orders == [90]
+
+    def test_blocks_that_differ_only_in_their_diagonal_block_are_not_twins(self):
+        # blocks 0 and 1 have a zero block between them and the same block to
+        # block 2, but their diagonal blocks are a path and its complement
+        p3 = path_graph(3).adjacency
+        other = 1 - p3 - np.eye(3, dtype=np.uint8)
+        link = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1]], dtype=np.uint8)
+        zero = np.zeros((3, 3), dtype=np.uint8)
+        g = Graph(np.block([[p3, zero, link], [zero, other, link], [link.T, link.T, p3]]))
+        assert len(twin_classes(g)) == 9
+        full = np.linalg.eigvalsh(g.adjacency.astype(float))[::-1]
+        assert np.max(np.abs(adjacency_spectrum(g, 3).values - full)) <= 1e-9
+
+    @pytest.mark.parametrize("block_order", [0, -3, 5, 7, 13])
+    def test_a_block_order_that_does_not_divide_the_order_raises(self, block_order):
+        with pytest.raises(ValueError, match=f"^block order {block_order} does not divide "
+                                             "the graph order 12$"):
+            adjacency_spectrum(cycle_graph(12), block_order)
 
 
 class TestAdjacencyInvariants:

@@ -102,9 +102,9 @@ def eigensolves(monkeypatch):
     graphs = []
     solve = families.adjacency_spectrum
 
-    def counted(g):
+    def counted(g, *args, **kwargs):
         graphs.append(g)
-        return solve(g)
+        return solve(g, *args, **kwargs)
 
     monkeypatch.setattr(families, "adjacency_spectrum", counted)
     return graphs
@@ -158,11 +158,11 @@ def test_a_failed_eigensolve_is_not_memoized(monkeypatch):
     solve = families.adjacency_spectrum
     failures = []
 
-    def flaky(g):
+    def flaky(g, *args, **kwargs):
         if g == shadow and not failures:
             failures.append(g)
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return solve(g)
+        return solve(g, *args, **kwargs)
 
     monkeypatch.setattr(families, "adjacency_spectrum", flaky)
     reports = sweep("C5_4", {"p": [1, 2], "q": [2, 1]}, method="oracle")
