@@ -127,8 +127,8 @@ def _parse_bindings(pairs: list[str], shape: str, parse: Callable[[str, str], ob
     return out
 
 
-def _parse_range(value: str, pair: str) -> list[int]:
-    """A range like 1..5, -1,1 or 3."""
+def _parse_range(value: str, pair: str) -> range | list[int]:
+    """A range like 1..5 (a `range`, which `sweep` holds as given), -1,1 or 3."""
     if ".." in value:
         lo_text, _, hi_text = value.partition("..")
         lo, hi = int(lo_text), int(hi_text)
@@ -136,7 +136,7 @@ def _parse_range(value: str, pair: str) -> list[int]:
             raise ValueError(f"empty range {pair!r}")
         if hi - lo >= sys.maxsize:
             raise ValueError(f"range {pair!r} holds more than {sys.maxsize} values")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     return [int(v) for v in value.split(",")]
 
 

@@ -30,7 +30,7 @@ from .graphs import (
     max_order,
     star_graph,
 )
-from .operators import OPERATORS, Operator
+from .operators import OPERATORS, Operator, _at_least_one
 from .spectral import (
     Spectrum,
     adjacency_spectrum,
@@ -216,15 +216,6 @@ class VerificationReport:
             )
             lines.append(f"  cospectral pairs: {flagged}")
         return "\n".join(lines) + "\n"
-
-
-def _at_least_one(**params: int) -> str | None:
-    """The default domain rule: every parameter >= 1. Returns why `params`
-    fall outside it, or None."""
-    if all(value >= 1 for value in params.values()):
-        return None
-    got = ", ".join(f"{name}={value}" for name, value in params.items())
-    return f"needs {','.join(params)} >= 1, got {got}"
 
 
 @dataclass(frozen=True)
@@ -487,9 +478,10 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
           tolerance: float | None = None, jobs: int | None = None) -> list[VerificationReport]:
     """Verify a family over a parameter grid.
 
-    `ranges` maps every free parameter of the family to a nonempty value
-    list; the grid is their cartesian product, walked in the family's
-    declared parameter order. Grid points outside the family's domain (or
+    `ranges` maps every free parameter of the family to a nonempty sequence
+    of values, a `range` held as given and any other copied to a list; the
+    grid is their cartesian product, walked in the family's declared
+    parameter order. Grid points outside the family's domain (or
     beyond the dense-order cap) yield "skipped" reports instead of aborting
     the sweep; any other exception at a grid point, such as a LAPACK
     non-convergence, yields an "error" report that names it. `bases` are
@@ -518,8 +510,8 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
         )
     values = []
     for name in family.param_names:
-        seq = list(ranges[name])
-        if not seq:
+        seq = ranges[name] if isinstance(ranges[name], range) else list(ranges[name])
+        if not seq:  # not len(seq): that raises for a range wider than sys.maxsize
             raise ValueError(f"empty range for parameter {name!r}")
         values.append(seq)
     grid = itertools.product(*values)  # one empty point for a family without parameters

@@ -9,11 +9,12 @@ once: its name, parameters, coefficient matrix and side, and the exact
 spectrum of C, from which the order of C, its float spectrum and the energy
 factor E(C) derive. The command line and the family catalog read that
 table. Every parameter must be >= 1: `_in_domain` makes that one check for
-each entry, before its coefficients, spectrum or build run, and raises the
-entry's one message, so the closed forms and the public builders check
-nothing themselves. The Kronecker entries' C is A(K_r) or A(K_{r,r}), so
-their factors are E(K_r) = 2(r - 1) and E(K_{r,r}) = 2r, and the family
-catalog takes the C6 bases' energies and targets from the first.
+each entry, before its coefficients, spectrum or build run, and names the
+entry and the rule, so the closed forms and the public builders check
+nothing themselves; each build is `_kron_graph` of the entry's own C. The
+Kronecker entries' C is A(K_r) or A(K_{r,r}), so their factors are E(K_r) =
+2(r - 1) and E(K_{r,r}) = 2r, and the family catalog takes the C6 bases'
+energies and targets from the first.
 
 A coefficient matrix is a plain uint8 array, like a Graph's adjacency.
 `_kron` checks the smaller factor of each product to be 0/1, since it only
@@ -84,11 +85,14 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kron_graph(name: str, args: tuple[int, ...], g: Graph, context: str) -> Graph:
-    """kron(C, A) for the table entry `name`; the order is checked before C is built."""
+def _kron_graph(name: str, args: tuple[int, ...], g: Graph) -> Graph:
+    """kron(C, A), or kron(A, C), of the table entry `name`'s own C on the side
+    it records; the order is checked under the entry's label before C is
+    built. C stays a temporary, freed before `Graph._adopt` checks the product."""
     op = OPERATORS[name]
-    check_order(op.dimension(*args) * g.order, context)
-    return Graph._adopt(_kron(op.coefficients(*args), g.adjacency))
+    check_order(op.dimension(*args) * g.order, op.label_for(args))
+    return Graph._adopt(_kron(op.coefficients(*args), g.adjacency) if op.coefficient_first
+                        else _kron(g.adjacency, op.coefficients(*args)))
 
 
 def generalized_splitting(g: Graph, p: int, q: int) -> Graph:
@@ -98,7 +102,7 @@ def generalized_splitting(g: Graph, p: int, q: int) -> Graph:
     all p copies; the copies themselves stay disjoint. Order is (p+q) times
     the base order.
     """
-    return _kron_graph("split", (p, q), g, f"splitting graph (p={p}, q={q})")
+    return _kron_graph("split", (p, q), g)
 
 
 def shadow_splitting(g: Graph, c: int, k: int) -> Graph:
@@ -108,17 +112,17 @@ def shadow_splitting(g: Graph, c: int, k: int) -> Graph:
     images in every other copy) and each splitting vertex u_i attaches to the
     neighbors of vertex i in all c copies. Order is (c+k) times the base order.
     """
-    return _kron_graph("shadow-split", (c, k), g, f"shadow-splitting graph (c={c}, k={k})")
+    return _kron_graph("shadow-split", (c, k), g)
 
 
 def m_shadow(g: Graph, m: int) -> Graph:
     """Shadow graph: m fully interconnected copies, adjacency kron(J_m, A)."""
-    return _kron_graph("shadow", (m,), g, f"shadow graph (m={m})")
+    return _kron_graph("shadow", (m,), g)
 
 
 def m_splitting(g: Graph, m: int) -> Graph:
     """Splitting graph with m splitting sets: one copy of g, m vertex sets."""
-    return _kron_graph("splitting", (m,), g, f"splitting graph (p=1, q={m})")
+    return _kron_graph("splitting", (m,), g)
 
 
 def kronecker_product(g: Graph, h: Graph) -> Graph:
@@ -148,16 +152,16 @@ class Operator:
     adjacency A and a small coefficient matrix C fixed by the parameters.
 
     - `name`: the operator's spelling in an operator spec such as `split:2,1`.
-    - `params`: the parameter names; their number is the arity.
-    - `domain`: the one message for a parameter < 1, formatted with the
-      parameters by name.
+    - `params`: the parameter names; their number is the arity. A parameter
+      < 1 is refused with the name and `_at_least_one`'s reason.
     - `coefficients(*args)`: the coefficient matrix C.
     - `coefficient_first`: True for kron(C, A), False for kron(A, C).
     - `spectrum(*args)`: the one closed form: C's eigenvalues (x + y sqrt(d)) / 2
       as (d, ((x, y, multiplicity), ...)) in integers. The order of C
       (`dimension`), its floats and its energy factor E(C) derive from it.
-    - `build(g, *args)`: the operator graph of base g.
-    - `label`, `member`: a family member's check context and description,
+    - `build(g, *args)`: the operator graph of base g, `_kron_graph` of the
+      entry's own C on the recorded side.
+    - `label`, `member`: a member's order-cap context and description,
       formatted with the parameters by name (`member` also with `label` and
       `base`, the base graph's description).
     - `cli`: whether the command line offers the operator.
@@ -165,7 +169,6 @@ class Operator:
 
     name: str
     params: tuple[str, ...]
-    domain: str
     coefficients: Callable[..., np.ndarray]
     coefficient_first: bool
     spectrum: Callable[..., ExactSpectrum]
@@ -203,69 +206,74 @@ class Operator:
                                   **dict(zip(self.params, args)))
 
 
+def _at_least_one(**params: int) -> str | None:
+    """The one domain rule of every operator and the catalog's default: every
+    parameter >= 1. Returns why `params` fall outside it, or None."""
+    if all(value >= 1 for value in params.values()):
+        return None
+    got = ", ".join(f"{name}={value}" for name, value in params.items())
+    return f"needs {','.join(params)} >= 1, got {got}"
+
+
 def _in_domain(op: Operator) -> Operator:
-    """`op` with its coefficients, spectrum (so every form derived from it)
-    and build raising ValueError(op.domain) for a parameter < 1 before they run."""
+    """`op` with its coefficients, spectrum (so every form derived from it) and
+    build raising ValueError(f"{op.name} {reason}") for a parameter < 1 first."""
     def checked(form: Callable, skip: int = 0) -> Callable:
         def form_in_domain(*args):
             if min(args[skip:]) < 1:
-                raise ValueError(op.domain.format(**dict(zip(op.params, args[skip:]))))
+                reason = _at_least_one(**dict(zip(op.params, args[skip:])))
+                raise ValueError(f"{op.name} {reason}")
             return form(*args)
         return form_in_domain
     return replace(op, coefficients=checked(op.coefficients), spectrum=checked(op.spectrum),
                    build=checked(op.build, skip=1))
 
 
-# Builders look up the public functions by name when called, so rebinding
-# one (as bench/layers.py does to time it) reaches every caller of the table.
+# The entries with a public builder look it up by name when called, so
+# rebinding one (as bench/layers.py does to time it) reaches every caller of
+# the table; the Kronecker entries call `_kron_graph` directly.
 _KRON_COMPLETE_BIPARTITE = Operator(
-    "kron-complete-bipartite", ("r",), "complete-bipartite part size must be >= 1, got r={r}",
-    lambda r: complete_bipartite(r, r).adjacency, False,
+    "kron-complete-bipartite", ("r",), lambda r: complete_bipartite(r, r).adjacency, False,
     lambda r: (0, ((2 * r, 0, 1), (0, 0, 2 * r - 2), (-2 * r, 0, 1))),  # E(K_{r,r}) = 2r
-    lambda g, r: kronecker_product(g, complete_bipartite(r, r)),
+    lambda g, r: _kron_graph("kron-complete-bipartite", (r,), g),
     "kron with complete-bipartite({r},{r})", "kron of {base} with complete-bipartite({r},{r})",
     cli=False,
 )
 
 OPERATORS: dict[str, Operator] = {op.name: _in_domain(op) for op in (
     Operator(
-        "split", ("p", "q"), "splitting parameters must be >= 1, got p={p}, q={q}",
-        _split_coefficients, True, _split_spectrum,
+        "split", ("p", "q"), _split_coefficients, True, _split_spectrum,
         lambda g, p, q: generalized_splitting(g, p, q),
         "splitting(p={p},q={q})",
     ),
     Operator(
-        "shadow-split", ("c", "k"), "shadow-splitting parameters must be >= 1, got c={c}, k={k}",
-        _shadow_split_coefficients, True, _shadow_split_spectrum,
+        "shadow-split", ("c", "k"), _shadow_split_coefficients, True, _shadow_split_spectrum,
         lambda g, c, k: shadow_splitting(g, c, k),
         "shadow-splitting(c={c},k={k})",
     ),
     Operator(
-        "shadow", ("m",), "shadow multiplicity must be >= 1, got {m}",
-        lambda m: np.ones((m, m), dtype=np.uint8), True,
+        "shadow", ("m",), lambda m: np.ones((m, m), dtype=np.uint8), True,
         lambda m: (0, ((2 * m, 0, 1), (0, 0, m - 1))),
         lambda g, m: m_shadow(g, m),
         "shadow(m={m})",
     ),
     Operator(
-        "splitting", ("m",), "splitting multiplicity must be >= 1, got {m}",
-        lambda m: _split_coefficients(1, m), True,
+        "splitting", ("m",), lambda m: _split_coefficients(1, m), True,
         lambda m: _split_spectrum(1, m),
         lambda g, m: m_splitting(g, m),
         "splitting(m={m})",
     ),
     Operator(
-        "kron-complete", ("r",), "complete graph order must be >= 1, got r={r}",
-        lambda r: complete_graph(r).adjacency, False,
+        "kron-complete", ("r",), lambda r: complete_graph(r).adjacency, False,
         lambda r: (0, ((2 * r - 2, 0, 1), (-2, 0, r - 1))),  # E(K_r) = 2(r - 1)
-        lambda g, r: kronecker_product(g, complete_graph(r)),
+        lambda g, r: _kron_graph("kron-complete", (r,), g),
         "kron with complete({r})", "kron of {base} with complete({r})",
         cli=False,
     ),
     _KRON_COMPLETE_BIPARTITE,
     replace(
         _KRON_COMPLETE_BIPARTITE, name="complete-bipartite-kron", coefficient_first=True,
-        build=lambda g, r: kronecker_product(complete_bipartite(r, r), g),
+        build=lambda g, r: _kron_graph("complete-bipartite-kron", (r,), g),
         member="kron of complete-bipartite({r},{r}) with {base}",
     ),
 )}

@@ -125,11 +125,22 @@ MUTANTS = (
         ("tests/test_operator_table.py::test_the_order_of_c_is_an_exact_int_at_any_parameter_size",
          "tests/test_cli.py::TestSweep::test_a_parameter_too_large_for_a_float_is_a_skipped_point"),
     ),
+    # the build reads the flag too, so only a test that compares two entries
+    # (splitting(m) against split(1, m)) sees the flip
     Mutant(
         "coefficient-first-flipped", "operators.py",
         "lambda m: _split_coefficients(1, m), True,",
         "lambda m: _split_coefficients(1, m), False,",
-        ("tests/test_operator_table.py",),
+        ("tests/test_operator_table.py",
+         "tests/test_operators.py::TestGeneralizedSplitting::test_reduces_to_m_splitting"),
+    ),
+    # every entry built as kron(C, A), whatever side it records
+    Mutant(
+        "kron-side-ignored", "operators.py",
+        "g.adjacency) if op.coefficient_first",
+        "g.adjacency) if True",
+        ("tests/test_operator_table.py"
+         "::test_build_is_the_kronecker_product_on_the_recorded_side",),
     ),
     Mutant(
         "domain-check-weakened", "operators.py",

@@ -529,9 +529,9 @@ class TestParser:
 
     @pytest.mark.parametrize("argv,message", [
         (["construct", f"split:{BIG},1", "{c4}"],
-         f"splitting graph (p={BIG}, q=1) would have order {4 * (BIG + 1)}"),
+         f"splitting(p={BIG},q=1) would have order {4 * (BIG + 1)}"),
         (["energy", "{c4}", "--apply", f"shadow-split:1,{BIG}"],
-         f"shadow-splitting graph (c=1, k={BIG}) would have order {4 * (BIG + 1)}"),
+         f"shadow-splitting(c=1,k={BIG}) would have order {4 * (BIG + 1)}"),
         (["verify", "C5_4", f"p={BIG}", "q=1"], OVER_CAP["C5_4"]),
         (["verify", "C5_8", f"m={HUGE}", "--method", "formula"], OVER_CAP["C5_8"]),
     ], ids=["construct", "energy", "verify", "verify-C5_8-formula"])

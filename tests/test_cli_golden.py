@@ -21,8 +21,9 @@ Regenerate the file with `PYTHONPATH=src python tests/test_cli_golden.py`
 only when an output is meant to change; it records the cases through the same
 child and prints to stderr the ids of the cases the re-record added, removed
 or changed, and whether the layouts changed. For a changed case it also says
-whether only numbers changed, and by how much at most, so that a re-record
-that moves last digits can be audited.
+whether only its stderr changed, as when an error is reworded, else whether
+only numbers changed, and by how much at most, so that a re-record that
+moves last digits can be audited.
 """
 
 from __future__ import annotations
@@ -338,18 +339,26 @@ def numeric_change(old: dict, new: dict) -> float | None:
     return largest
 
 
+def _without_stderr(case: dict) -> dict:
+    return {key: value for key, value in case.items() if key != "stderr"}
+
+
 def record_diff(old: dict, new: dict) -> list[str]:
     """What a re-record changes: the ids of added, removed and changed cases,
-    for each changed case whether only numbers changed and by how much at
-    most, and whether the layout digests changed."""
+    for each changed case whether only its stderr changed (its exit code,
+    stdout and written file kept), else whether only numbers changed and by
+    how much at most, and whether the layout digests changed."""
     lines = [f"added: {case_id}" for case_id in new["cases"] if case_id not in old["cases"]]
     lines += [f"removed: {case_id}" for case_id in old["cases"] if case_id not in new["cases"]]
     for case_id, case in new["cases"].items():
-        if case_id in old["cases"] and case != old["cases"][case_id]:
-            change = numeric_change(old["cases"][case_id], case)
-            lines.append(f"changed: {case_id} (" + (
-                "not numbers only" if change is None
-                else f"numbers only, largest change {change:.1e}") + ")")
+        was = old["cases"].get(case_id)
+        if was is None or case == was:
+            continue
+        change = numeric_change(was, case)
+        lines.append(f"changed: {case_id} (" + (
+            "stderr only" if _without_stderr(was) == _without_stderr(case)
+            else "not numbers only" if change is None
+            else f"numbers only, largest change {change:.1e}") + ")")
     lines.append("layouts: " + ("changed" if new["layouts"] != old["layouts"] else "unchanged"))
     return lines
 
@@ -404,6 +413,20 @@ def test_record_diff_tells_number_changes_from_other_changes():
     for other in (diff('{"energy": 1950.0, "order": 976, "n": 1}\n'),
                   diff('{"energy": 1949.9999999999836, "order":976}\n'),
                   diff('{"energy": 1949.9999999999836, "order": 976}\n', code=1)):
+        assert other == "changed: c (not numbers only)"
+
+    # a reworded error: the exit code, stdout and written file are kept
+    error = {"exit": 2, "stdout": "", "stderr": "error: shadow multiplicity must be >= 1, got 0\n"}
+
+    def reworded(**new):
+        return record_diff({"cases": {"c": error}, "layouts": {}},
+                           {"cases": {"c": {**error, **new}}, "layouts": {}})[0]
+    assert reworded(stderr="error: shadow needs m >= 1, got m=0\n") == "changed: c (stderr only)"
+    # stderr only wins over numbers only: the report's point is that stdout kept
+    assert reworded(stderr="error: shadow multiplicity must be >= 1, got -1\n") == \
+        "changed: c (stderr only)"
+    for other in (reworded(stderr="", exit=1), reworded(stdout="{}\n", stderr=""),
+                  reworded(written="0 1\n")):
         assert other == "changed: c (not numbers only)"
 
 

@@ -585,8 +585,17 @@ class TestSweep:
         assert checked == [r.parameters for r in reports]
 
     def test_rejects_empty_range(self):
-        with pytest.raises(ValueError, match="empty range"):
-            sweep("C6_1", {"k": []})
+        for empty in ([], range(3, 3)):
+            with pytest.raises(ValueError, match="empty range"):
+                sweep("C6_1", {"k": empty})
+
+    def test_a_range_reports_the_same_as_its_values_in_a_list(self):
+        # a range is held as given, not copied; p=0 is an out-of-domain skip
+        def dumped(ranges):
+            return jsonio.dumps([r.to_dict() for r in sweep("C5_4", ranges, method="both")])
+
+        assert dumped({"p": range(0, 3), "q": range(2, 4)}) == \
+            dumped({"p": [0, 1, 2], "q": [2, 3]})
 
     def test_rejects_wrong_parameter_names(self):
         with pytest.raises(ValueError, match="ranges for exactly"):

@@ -23,9 +23,11 @@ from hypothesis import strategies as st
 from graphenergy import (
     OPERATORS,
     Graph,
+    OrderCapError,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    encode_graph6,
     energy,
     generalized_splitting,
     kronecker_product,
@@ -35,6 +37,7 @@ from graphenergy import (
     random_graph,
     shadow_splitting,
 )
+from graphenergy.cli import main
 
 from conftest import random_graphs
 from neighborhood_reference import ShadowSplitParams, SplitParams, construct_by_neighborhood
@@ -113,16 +116,30 @@ def test_the_order_of_c_is_an_exact_int_at_any_parameter_size(name):
             assert type(dim) is int and dim == ORDERS[name](*args), args
 
 
-# each entry's one message for a parameter < 1, with the parameters filled in
+# each entry's one message for a parameter < 1, with the parameters filled in:
+# its name, then the rule the family catalog also states
 DOMAIN_MESSAGES = {
-    "split": "splitting parameters must be >= 1, got p={}, q={}",
-    "shadow-split": "shadow-splitting parameters must be >= 1, got c={}, k={}",
-    "shadow": "shadow multiplicity must be >= 1, got {}",
-    "splitting": "splitting multiplicity must be >= 1, got {}",
-    "kron-complete": "complete graph order must be >= 1, got r={}",
-    "kron-complete-bipartite": "complete-bipartite part size must be >= 1, got r={}",
-    "complete-bipartite-kron": "complete-bipartite part size must be >= 1, got r={}",
+    "split": "split needs p,q >= 1, got p={}, q={}",
+    "shadow-split": "shadow-split needs c,k >= 1, got c={}, k={}",
+    "shadow": "shadow needs m >= 1, got m={}",
+    "splitting": "splitting needs m >= 1, got m={}",
+    "kron-complete": "kron-complete needs r >= 1, got r={}",
+    "kron-complete-bipartite": "kron-complete-bipartite needs r >= 1, got r={}",
+    "complete-bipartite-kron": "complete-bipartite-kron needs r >= 1, got r={}",
 }
+
+# each entry's arguments and what a build of C4 under a cap of 11 says: the
+# entry's label, as in a family member's cap check
+OVER_CAP = {
+    "split": ((2, 2), "splitting(p=2,q=2) would have order 16"),
+    "shadow-split": ((2, 3), "shadow-splitting(c=2,k=3) would have order 20"),
+    "shadow": ((3,), "shadow(m=3) would have order 12"),
+    "splitting": ((2,), "splitting(m=2) would have order 12"),
+    "kron-complete": ((3,), "kron with complete(3) would have order 12"),
+    "kron-complete-bipartite": ((2,), "kron with complete-bipartite(2,2) would have order 16"),
+    "complete-bipartite-kron": ((2,), "kron with complete-bipartite(2,2) would have order 16"),
+}
+CAP_11 = ", exceeding the dense cap of 11 (raise SPECTRAL_MAX_ORDER to override)"
 
 # the public builder of each entry that has one
 PUBLIC_BUILDERS = {"split": generalized_splitting, "shadow-split": shadow_splitting,
@@ -146,6 +163,26 @@ def test_every_closed_form_rejects_a_parameter_below_one(name, bad):
         for build in builders:
             with pytest.raises(ValueError, match=message):
                 build(g, *args)
+
+
+@pytest.mark.parametrize("name", PAPER_FACTORS)
+def test_every_build_over_the_cap_names_the_entry_label(name, monkeypatch, tmp_path, capsys):
+    op = OPERATORS[name]
+    args, message = OVER_CAP[name]
+    g = cycle_graph(4)
+    monkeypatch.setenv("SPECTRAL_MAX_ORDER", "11")
+    builders = [op.build] + ([PUBLIC_BUILDERS[name]] if name in PUBLIC_BUILDERS else [])
+    for build in builders:
+        with pytest.raises(OrderCapError, match=f"^{re.escape(message + CAP_11)}$"):
+            build(g, *args)
+    if not op.cli:
+        return
+    path = tmp_path / "c4.g6"
+    path.write_bytes(encode_graph6(g) + b"\n")
+    spec = f"{name}:{','.join(map(str, args))}"
+    for argv in (["construct", spec, str(path)], ["energy", str(path), "--apply", spec]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {message}{CAP_11}\n"), argv
 
 
 @pytest.mark.parametrize("name", PAPER_FACTORS)

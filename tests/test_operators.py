@@ -57,10 +57,9 @@ class TestCoefficientMatrices:
         assert np.all(m[c:, c:] == 0)
 
     def test_params_validated(self):
-        with pytest.raises(ValueError, match=r"^splitting parameters must be >= 1, got p=0, q=1$"):
+        with pytest.raises(ValueError, match=r"^split needs p,q >= 1, got p=0, q=1$"):
             OPERATORS["split"].coefficients(0, 1)
-        with pytest.raises(ValueError,
-                           match=r"^shadow-splitting parameters must be >= 1, got c=1, k=0$"):
+        with pytest.raises(ValueError, match=r"^shadow-split needs c,k >= 1, got c=1, k=0$"):
             OPERATORS["shadow-split"].coefficients(1, 0)
         with pytest.raises(ValueError):
             OPERATORS["split"].coefficients(1, 0)
