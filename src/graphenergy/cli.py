@@ -128,7 +128,7 @@ def _parse_bindings(pairs: list[str], shape: str, parse: Callable[[str, str], ob
 
 
 def _parse_range(value: str, pair: str) -> range | list[int]:
-    """A range like 1..5 (a `range`, which `sweep` holds as given), -1,1 or 3."""
+    """A range like 1..5 (returned as a `range`), -1,1 or 3."""
     if ".." in value:
         lo_text, _, hi_text = value.partition("..")
         lo, hi = int(lo_text), int(hi_text)

@@ -479,9 +479,8 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
     """Verify a family over a parameter grid.
 
     `ranges` maps every free parameter of the family to a nonempty sequence
-    of values, a `range` held as given and any other copied to a list; the
-    grid is their cartesian product, walked in the family's declared
-    parameter order. Grid points outside the family's domain (or
+    of values; the grid is their cartesian product, walked in the family's
+    declared parameter order. Grid points outside the family's domain (or
     beyond the dense-order cap) yield "skipped" reports instead of aborting
     the sweep; any other exception at a grid point, such as a LAPACK
     non-convergence, yields an "error" report that names it. `bases` are
@@ -510,8 +509,8 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
         )
     values = []
     for name in family.param_names:
-        seq = ranges[name] if isinstance(ranges[name], range) else list(ranges[name])
-        if not seq:  # not len(seq): that raises for a range wider than sys.maxsize
+        seq = list(ranges[name])
+        if not seq:
             raise ValueError(f"empty range for parameter {name!r}")
         values.append(seq)
     grid = itertools.product(*values)  # one empty point for a family without parameters

@@ -160,7 +160,8 @@ class Operator:
       as (d, ((x, y, multiplicity), ...)) in integers. The order of C
       (`dimension`), its floats and its energy factor E(C) derive from it.
     - `build(g, *args)`: the operator graph of base g, `_kron_graph` of the
-      entry's own C on the recorded side.
+      entry's own C on the recorded side. An entry with a public builder
+      calls it here; None takes `_kron_graph` under the entry's own name.
     - `label`, `member`: a member's order-cap context and description,
       formatted with the parameters by name (`member` also with `label` and
       `base`, the base graph's description).
@@ -172,7 +173,7 @@ class Operator:
     coefficients: Callable[..., np.ndarray]
     coefficient_first: bool
     spectrum: Callable[..., ExactSpectrum]
-    build: Callable[..., Graph]
+    build: Callable[..., Graph] | None
     label: str
     member: str = "{label} of {base}"
     cli: bool = True
@@ -217,7 +218,8 @@ def _at_least_one(**params: int) -> str | None:
 
 def _in_domain(op: Operator) -> Operator:
     """`op` with its coefficients, spectrum (so every form derived from it) and
-    build raising ValueError(f"{op.name} {reason}") for a parameter < 1 first."""
+    build raising ValueError(f"{op.name} {reason}") for a parameter < 1 first;
+    a build of None becomes `_kron_graph` under `op.name`."""
     def checked(form: Callable, skip: int = 0) -> Callable:
         def form_in_domain(*args):
             if min(args[skip:]) < 1:
@@ -226,18 +228,18 @@ def _in_domain(op: Operator) -> Operator:
             return form(*args)
         return form_in_domain
     return replace(op, coefficients=checked(op.coefficients), spectrum=checked(op.spectrum),
-                   build=checked(op.build, skip=1))
+                   build=checked(op.build or (lambda g, *args: _kron_graph(op.name, args, g)),
+                                 skip=1))
 
 
 # The entries with a public builder look it up by name when called, so
 # rebinding one (as bench/layers.py does to time it) reaches every caller of
-# the table; the Kronecker entries call `_kron_graph` directly.
+# the table; the Kronecker entries have none and build through `_kron_graph`.
 _KRON_COMPLETE_BIPARTITE = Operator(
     "kron-complete-bipartite", ("r",), lambda r: complete_bipartite(r, r).adjacency, False,
     lambda r: (0, ((2 * r, 0, 1), (0, 0, 2 * r - 2), (-2 * r, 0, 1))),  # E(K_{r,r}) = 2r
-    lambda g, r: _kron_graph("kron-complete-bipartite", (r,), g),
-    "kron with complete-bipartite({r},{r})", "kron of {base} with complete-bipartite({r},{r})",
-    cli=False,
+    None, "kron with complete-bipartite({r},{r})",
+    "kron of {base} with complete-bipartite({r},{r})", cli=False,
 )
 
 OPERATORS: dict[str, Operator] = {op.name: _in_domain(op) for op in (
@@ -266,14 +268,12 @@ OPERATORS: dict[str, Operator] = {op.name: _in_domain(op) for op in (
     Operator(
         "kron-complete", ("r",), lambda r: complete_graph(r).adjacency, False,
         lambda r: (0, ((2 * r - 2, 0, 1), (-2, 0, r - 1))),  # E(K_r) = 2(r - 1)
-        lambda g, r: _kron_graph("kron-complete", (r,), g),
-        "kron with complete({r})", "kron of {base} with complete({r})",
+        None, "kron with complete({r})", "kron of {base} with complete({r})",
         cli=False,
     ),
     _KRON_COMPLETE_BIPARTITE,
     replace(
         _KRON_COMPLETE_BIPARTITE, name="complete-bipartite-kron", coefficient_first=True,
-        build=lambda g, r: _kron_graph("complete-bipartite-kron", (r,), g),
         member="kron of complete-bipartite({r},{r}) with {base}",
     ),
 )}

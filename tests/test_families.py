@@ -590,7 +590,7 @@ class TestSweep:
                 sweep("C6_1", {"k": empty})
 
     def test_a_range_reports_the_same_as_its_values_in_a_list(self):
-        # a range is held as given, not copied; p=0 is an out-of-domain skip
+        # the CLI passes a range like 0..2 as a `range`; p=0 is an out-of-domain skip
         def dumped(ranges):
             return jsonio.dumps([r.to_dict() for r in sweep("C5_4", ranges, method="both")])
 
