@@ -75,11 +75,12 @@ def _solved(memo: dict, key, build: Callable[[], Graph] | None = None,
             block_order: int = 1) -> Spectrum:
     """The Spectrum `memo` holds under `key`, eigensolving `build()`, or the
     Graph `key` itself, on a miss, with the `block_order` hint of
-    `adjacency_spectrum`. A failed eigensolve stores nothing."""
+    `adjacency_spectrum` and `memo` for its diagonal blocks. A failed
+    eigensolve stores nothing."""
     spectrum = memo.get(key)
     if spectrum is None:
         spectrum = memo[key] = adjacency_spectrum(key if build is None else build(),
-                                                  block_order=block_order)
+                                                  block_order=block_order, memo=memo)
     return spectrum
 
 
@@ -113,12 +114,13 @@ class MemberPlan:
         carries it), the eigensolved spectrum of the member (`graph` when the
         caller built it, else built here) and, if `structured`, the member's
         spectrum from those of C and the base. Eigensolves go through `memo`
-        (see `verify`); a graph the caller built is its own key. A
-        `coefficient_first` member, kron(C, A), is laid out in blocks of the
-        base order, so that order is its block-order hint: a twin-free
-        member such as split(p, 1) of a twin-free base is eigensolved
-        through its block-twin quotient, where the p copies of the base
-        collapse to one. Every other member gets the hint 1."""
+        (see `verify`), except that a graph the caller built is solved
+        directly, not keyed: hashing it would read the whole matrix twice.
+        A `coefficient_first` member, kron(C, A), is laid out in blocks of
+        the base order, so that order is its block-order hint: in split(p,
+        q) of a twin-free base the p copies of the base collapse to one, and
+        their diagonal block, the base, comes from `memo`. Every other
+        member gets the hint 1."""
         predicted = measured = closed = None
         if method in ("formula", "both"):
             base_energy = self.base_energy_closed
@@ -131,7 +133,7 @@ class MemberPlan:
         if method in ("oracle", "both"):
             blocks = self.base.order if self.operator.coefficient_first else 1
             if graph is not None:
-                measured = _solved(memo, graph, block_order=blocks)
+                measured = adjacency_spectrum(graph, block_order=blocks, memo=memo)
             else:
                 measured = _solved(memo, (self.operator.name, self.args, self.base), self.build,
                                    block_order=blocks)
@@ -416,10 +418,11 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
     families carry their base energies in closed form.
 
     Eigensolved results go into `_memo`, a fresh dict unless `sweep` hands
-    in the one its grid points share. It maps a base Graph to its Spectrum
-    and (operator name, args, base Graph) to the member's Spectrum; a Graph
-    key compares by content, so a base rebuilt at every point still hits.
-    A failed eigensolve stores nothing.
+    in the one its grid points share. It maps a base Graph, or a diagonal
+    block the block-twin step solved, to its Spectrum and (operator name,
+    args, base Graph) to the member's Spectrum; a Graph key compares by
+    content, so a base rebuilt at every point still hits, and so does a
+    diagonal block equal to a base. A failed eigensolve stores nothing.
     """
     _check_method(method)
     check_tolerance(tolerance)
@@ -494,10 +497,10 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
     `jobs=1`.
 
     One sweep call does each piece of work once: the base graphs are
-    resolved once for every point, and the points share one memo of base
-    and member spectra (see `verify`), so a member or base that
-    recurs across the grid is eigensolved once. A failed eigensolve is not
-    memoized. Nothing is shared across sweep calls.
+    resolved once for every point, and the points share one memo of base,
+    diagonal-block and member spectra (see `verify`), so a member, base or
+    diagonal block that recurs across the grid is eigensolved once. A
+    failed eigensolve is not memoized. Nothing is shared across sweep calls.
     """
     _check_method(method)
     check_tolerance(tolerance)

@@ -18,14 +18,14 @@ graphs are full of such twins (the splitting vertices of a set share one
 neighbourhood, and so do shadowed copies): the C6_2 member of order 976 has
 32 distinct rows.
 
-A twin-free graph whose caller names a block order n (a proper divisor of
-its order N) is eigensolved through its block-twin quotient, the same split
-one level up. Cut the matrix into k = N / n block rows of n vertices. Two
-block rows are block twins when the block between them is zero, their
-diagonal blocks D are equal and their blocks to every other block are
-equal: the p copies of the base graph in split(p, q) = kron(C, A) are such
-twins. Let classes of block twins have sizes s_1..s_m, with r_I the first
-block of class I. The vectors u (x) x, with u summing to zero over the
+A graph whose caller names a block order n (a proper divisor of its order
+N) may be eigensolved through its block-twin quotient instead, the same
+split one level up. Cut the matrix into k = N / n block rows of n
+vertices. Two block rows are block twins when the block between them is
+zero, their diagonal blocks D are equal and their blocks to every other
+block are equal: the p copies of the base graph in split(p, q) = kron(C, A)
+are such twins, and so are its q splitting sets. Let classes of block
+twins have sizes s_1..s_m, with r_I the first block of class I. The vectors u (x) x, with u summing to zero over the
 blocks of one class I, span an invariant subspace on which the matrix acts
 as D_I, and the normalized class indicators (x) x span the rest, on which it
 acts as the (m n) x (m n) matrix with blocks
@@ -33,18 +33,24 @@ Q_IJ = sqrt(s_I) sqrt(s_J) A_{r_I r_J} for I != J and Q_II = D_I. So the
 spectrum is that of Q plus spec(D_I) s_I - 1 times for each class, again an
 orthogonal similarity that holds for any symmetric matrix and any n that
 divides N: a block order that fits no layout of the graph only costs time.
-D_I goes through the false-twin quotient. The twin-free order-900 member
-split(2, 1) of an order-300 base is solved as 600 + 300 instead of 900. A
-graph with vertex twins never takes the block step, and a twin-free graph
-with no block twins is eigensolved from `adjacency.astype(float64)` as it
-stands.
+The step is taken when the false-twin quotient leaves more than 2n classes
+and the block quotient's order m n is below that count. Each D_I goes
+through the false-twin quotient once: it is looked up by content in the
+caller's memo, a dict from Graph to Spectrum, and what is solved is stored
+there, so a D_I equal to a base the caller solved is not solved again. The
+twin-free order-900 member split(2, 1) of an order-300 base is solved as
+one order-600 eigensolve, its D being that base, instead of 900; split(4,
+14) of an order-40 base, whose splitting vertices are twins, is solved at
+order 80 instead of 200. A graph that neither quotient reduces is
+eigensolved from `adjacency.astype(float64)` as it stands.
 
 A dense eigensolve of order m holds two float64 copies of the matrix, about
 16 m^2 bytes: the one made here and the one numpy's eigvalsh makes for
 LAPACK. tracemalloc sees only the first, so a peak it reports is about
 8 m^2 bytes, half the real one. Finding the classes packs the rows to bits,
-n^2 / 8 bytes, and sorts them; keying the block rows copies the matrix once
-as uint8, n^2 bytes, before Q is made.
+N^2 / 8 bytes, and sorts them; keying the block rows copies the matrix once
+as uint8, N^2 bytes, before Q is made, and each D_I a memo stores holds
+n^2 bytes.
 """
 
 from __future__ import annotations
@@ -148,11 +154,14 @@ def _classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], counts[order]
 
 
-def _block_twin_eigenvalues(adjacency: np.ndarray, n: int) -> np.ndarray:
-    """The eigenvalues of the twin-free 0/1 matrix `adjacency` through its
-    block-twin quotient over blocks of order `n` (see the module docstring).
-    A block row's key is its bits with its own diagonal block zeroed, then
-    that block's bits. With no block twins the matrix is cast as it stands.
+def _block_twin_eigenvalues(adjacency: np.ndarray, n: int, classes: int,
+                            memo: dict | None) -> np.ndarray | None:
+    """The eigenvalues of the 0/1 matrix `adjacency` through its block-twin
+    quotient over blocks of order `n` (see the module docstring), or None
+    when that quotient's order is not below `classes`, the false-twin
+    quotient's. A block row's key is its bits with its own diagonal block
+    zeroed, then that block's bits. Each class's diagonal block D is looked
+    up in `memo` by content, as a Graph, and what is solved is stored there.
     """
     k = adjacency.shape[0] // n
     blocks = adjacency.reshape(k, n, k, n)
@@ -164,30 +173,42 @@ def _block_twin_eigenvalues(adjacency: np.ndarray, n: int) -> np.ndarray:
     keys[own, :, own] = 0
     first, counts = _classes(keys.reshape(k, -1))
     del keys
-    if first.size == k:
-        return np.linalg.eigvalsh(adjacency.astype(np.float64))
-    m, weights = first.size, np.sqrt(counts)
-    q = blocks.take(first, 0).take(first, 2).astype(np.float64)
-    q *= weights[:, None, None, None]
-    q *= weights[:, None]
+    m = first.size
+    if m * n >= classes:
+        return None
+    weights = np.sqrt(counts)
+    q = blocks.take(first, 0).take(first, 2) * np.outer(weights, weights)[:, None, :, None]
     q[np.arange(m), :, np.arange(m)] = diagonal[first]
     values = [np.linalg.eigvalsh(q.reshape(m * n, m * n))]
     del q
-    values += [np.tile(_eigenvalues(diagonal[block]), count - 1)
-               for block, count in zip(first, counts) if count > 1]
+    memo = {} if memo is None else memo
+    for block, count in zip(first, counts):
+        if count > 1:
+            d = Graph(diagonal[block])
+            spectrum = memo.get(d)
+            if spectrum is None:
+                spectrum = memo[d] = Spectrum(_eigenvalues(d.adjacency))
+            values.append(np.tile(spectrum.values, count - 1))
     return np.concatenate(values)
 
 
-def _eigenvalues(adjacency: np.ndarray, block_order: int = 1) -> np.ndarray:
+def _eigenvalues(adjacency: np.ndarray, block_order: int = 1,
+                 memo: dict | None = None) -> np.ndarray:
     """The eigenvalues of the symmetric 0/1 matrix `adjacency`, through its
-    false-twin quotient or, when it has no twins and `block_order` is a
-    proper divisor of its order, through its block-twin quotient.
+    block-twin quotient over blocks of order `block_order` when the
+    false-twin quotient leaves more than 2 `block_order` classes and the
+    block quotient is smaller, else through its false-twin quotient.
 
     Q is gathered by two `take`s, rows then columns: at m = 237 that takes
     61 us, against 362 us through `np.ix_`. A matrix that neither quotient
-    reduces is cast as it stands.
+    reduces is cast as it stands. At block order 1 block twins are false
+    twins, so the block rows are not keyed.
     """
     first, counts = _classes(adjacency)
+    if 1 < block_order and 2 * block_order < first.size:
+        values = _block_twin_eigenvalues(adjacency, block_order, first.size, memo)
+        if values is not None:
+            return values
     zeros = adjacency.shape[0] - first.size
     if zeros:
         weights = np.sqrt(counts)
@@ -195,36 +216,36 @@ def _eigenvalues(adjacency: np.ndarray, block_order: int = 1) -> np.ndarray:
         q *= weights[:, None]  # in place: a weight matrix would be one more m^2 copy
         q *= weights
         return np.concatenate([np.linalg.eigvalsh(q), np.zeros(zeros)])
-    if 1 < block_order < adjacency.shape[0]:
-        return _block_twin_eigenvalues(adjacency, block_order)
     return np.linalg.eigvalsh(adjacency.astype(np.float64))
 
 
-def eigenvalues_symmetric(g: Graph, block_order: int = 1) -> Spectrum:
+def eigenvalues_symmetric(g: Graph, block_order: int = 1, memo: dict | None = None) -> Spectrum:
     """All eigenvalues of a Graph's adjacency matrix, sorted descending.
 
     The graph is eigensolved through its false-twin quotient, with no
     symmetry check: its 0/1 matrix was proven exactly symmetric when the
-    Graph was built, and 0 and 1 are exact in float64. A twin-free graph is
-    eigensolved through its block-twin quotient over blocks of order
-    `block_order`, a hint for the layout of the graph's vertices that
-    changes the speed but not the spectrum. Anything but a Graph raises
-    TypeError; a block order that does not divide the graph's order raises
-    ValueError.
+    Graph was built, and 0 and 1 are exact in float64. When its block-twin
+    quotient over blocks of order `block_order` is the smaller one, it is
+    eigensolved through that instead: the block order is a hint for the
+    layout of the graph's vertices that changes the speed but not the
+    spectrum. `memo`, the caller's dict from Graph to Spectrum, is where
+    the block step looks up each diagonal block by content and stores what
+    it solves. Anything but a Graph raises TypeError; a block order that
+    does not divide the graph's order raises ValueError.
     """
     if not isinstance(g, Graph):
         raise TypeError(f"expected a Graph, got {type(g).__name__}")
     if block_order < 1 or g.order % block_order:
         raise ValueError(f"block order {block_order} does not divide the graph order {g.order}")
-    return Spectrum(_eigenvalues(g.adjacency, block_order))
+    return Spectrum(_eigenvalues(g.adjacency, block_order, memo))
 
 
-def adjacency_spectrum(g: Graph, block_order: int = 1) -> Spectrum:
+def adjacency_spectrum(g: Graph, block_order: int = 1, memo: dict | None = None) -> Spectrum:
     """Spectrum of the adjacency matrix of g; see `eigenvalues_symmetric`
-    for `block_order`."""
+    for `block_order` and `memo`."""
     # a call through the module global: bench/layers.py wraps both names and
     # its EXPECTED_CALLS needs both spans
-    return eigenvalues_symmetric(g, block_order=block_order)
+    return eigenvalues_symmetric(g, block_order=block_order, memo=memo)
 
 
 def energy(g: Graph) -> float:

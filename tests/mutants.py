@@ -180,6 +180,23 @@ MUTANTS = (
         "blocks = self.base.order",
         ("tests/test_families.py::TestBlockOrderHint",),
     ),
+    # a block class's D taken as the plan's base, the memo's first entry,
+    # instead of looked up by content
+    Mutant(
+        "block-diagonal-by-plan-base", "spectral.py",
+        "spectrum = memo.get(d)",
+        "spectrum = next(iter(memo.values()), None)",
+        ("tests/test_spectral.py::TestBlockTwinQuotient"
+         "::test_the_diagonal_blocks_come_from_the_memo_by_content",),
+    ),
+    # the block step taken when its quotient is not the smaller one: the
+    # spectrum stays exact, only the eigensolve orders show it
+    Mutant(
+        "block-step-when-larger", "spectral.py",
+        "if m * n >= classes:",
+        "if m * n < classes:",
+        ("tests/test_cli.py::TestEigensolveWork",),
+    ),
     # the text readers' one-pass parse, then their line loops
     Mutant(
         "duplicate-entries-accepted", "io.py",
@@ -264,8 +281,9 @@ MUTANTS = (
     Mutant(
         "member-graph-rebuilt", "families.py",
         "if graph is not None:\n"
-        "                measured = _solved(memo, graph, block_order=blocks)",
-        "if False:\n                measured = _solved(memo, graph, block_order=blocks)",
+        "                measured = adjacency_spectrum(graph, block_order=blocks, memo=memo)",
+        "if False:\n"
+        "                measured = adjacency_spectrum(graph, block_order=blocks, memo=memo)",
         ("tests/test_cli.py::TestMemberCheck",),
     ),
     Mutant(

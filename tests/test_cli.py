@@ -17,6 +17,7 @@ from graphenergy import (
     disjoint_union,
     encode_graph6,
     generalized_splitting,
+    random_graph,
     read_graph_text,
     star_graph,
 )
@@ -26,6 +27,7 @@ from graphenergy.cli import build_parser, main
 from graphenergy.operators import Operator
 
 from conftest import split_with_one_zero_too_many, with_wrong_factor
+from spectral_reference import twin_classes
 
 
 # parameters too large for a float (10**400) or for the square of one (10**160)
@@ -217,7 +219,7 @@ class TestSpectrum:
 class TestMemberCheck:
     """`energy --apply` and `spectrum --apply` check one member: each fails
     on a fault in the closed forms by far more than rounding, and each builds
-    the member once and eigensolves each distinct graph at most once."""
+    the member once and eigensolves each graph a route reads once."""
 
     def test_a_wrong_factor_fails_energy(self, monkeypatch, k3_file, capsys):
         monkeypatch.setitem(OPERATORS, "split", with_wrong_factor(OPERATORS["split"]))
@@ -256,13 +258,14 @@ class TestMemberCheck:
         assert (payload["within_tolerance"], payload["max_delta"], err) == (False, None, "")
         assert [len(payload[route]["values"]) for route in ("formula", "oracle")] == [16, 12]
 
-    # shadow:1 builds a copy of the base, which is eigensolved once
+    # shadow:1 builds a copy of the base: the member the command built is
+    # solved directly, not looked up, so under both that content is solved twice
     @pytest.mark.parametrize("spec", ["split:2,1", "shadow-split:2,3", "shadow:3", "shadow:1",
                                       "splitting:2"])
     @pytest.mark.parametrize("command", ["energy", "spectrum"])
     @pytest.mark.parametrize("method", families.METHODS)
-    def test_one_build_and_one_eigensolve_per_distinct_graph(self, monkeypatch, capsys,
-                                                               c4_file, spec, command, method):
+    def test_one_build_and_one_eigensolve_per_route(self, monkeypatch, capsys,
+                                                     c4_file, spec, command, method):
         name, _, argtext = spec.partition(":")
         args = tuple(int(a) for a in argtext.split(","))
         op, base = OPERATORS[name], cycle_graph(4)
@@ -283,9 +286,49 @@ class TestMemberCheck:
         assert main([command, c4_file, "--apply", spec, "--method", method]) == 0
         capsys.readouterr()
         assert builds == [args]
-        assert len(set(solved)) == len(solved)
-        read = {"formula": {base}, "oracle": {member}, "both": {base, member}}[method]
-        assert set(solved) == read
+        assert solved == {"formula": [base], "oracle": [member], "both": [base, member]}[method]
+
+
+class TestEigensolveWork:
+    """The orders of the dense eigensolves behind three commands. They are
+    exact, so a change to them is a change to the quotient rule or the memo,
+    not noise: each diagonal block of a block-twin class is solved once, by
+    content, and the block step is taken whenever its quotient is smaller."""
+
+    @pytest.fixture
+    def orders(self, monkeypatch):
+        orders, real = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *args, **kwargs: orders.append(a.shape[0])
+                            or real(a, *args, **kwargs))
+        return orders
+
+    @staticmethod
+    def twin_free_file(tmp_path, order):
+        g = random_graph(order, 0.5, seed=order)
+        assert len(twin_classes(g)) == order
+        return write_g6(tmp_path / f"r{order}.g6", g)
+
+    def test_energy_solves_the_base_once(self, tmp_path, capsys, orders):
+        # split(2, 1) is twin-free: its order-120 block quotient takes the
+        # base's spectrum, which the formula route solved, from the memo
+        path = self.twin_free_file(tmp_path, 60)
+        code, _ = run_json(capsys, ["energy", path, "--apply", "split:2,1", "--method", "both"])
+        assert (code, orders) == (0, [60, 120])
+
+    def test_a_split_member_with_vertex_twins_takes_the_block_step(self, tmp_path, capsys,
+                                                                   orders):
+        # split(4, 14) of the base: its false-twin quotient has order 200, its
+        # block quotient order 80, whose zero diagonal block is solved at order 1
+        path = self.twin_free_file(tmp_path, 40)
+        code, payload = run_json(capsys, ["verify", "C5_8", "m=1", "--base", path])
+        assert (code, payload["verdict"]) == (0, "pass")
+        assert sorted(orders) == [1, 40, 80, 80]
+
+    def test_a_c6_1_sweep_solves_nothing_above_order_6(self, capsys, orders):
+        code, payload = run_json(capsys, ["sweep", "C6_1", "k=1..8"])
+        assert code == 0 and len(payload) == 8
+        assert max(orders) == 6
 
 
 class TestVerify:

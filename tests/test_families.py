@@ -402,18 +402,19 @@ class TestBlockOrderHint:
     def test_a_kron_c_a_member_is_solved_with_the_base_order_as_block_order(
             self, monkeypatch, name, given):
         # kron(C, A) lays the member out as blocks of the base order; the base
-        # itself and a kron(A, C) member get no hint
+        # itself and a kron(A, C) member get no hint; every solve gets the memo
         op, base = OPERATORS[name], cycle_graph(5)
         args = (2,) * len(op.params)
         plan = families.MemberPlan(op, args, base)
-        real, hints = families.adjacency_spectrum, []
+        real, hints, memo = families.adjacency_spectrum, [], {}
 
-        def solve(g, block_order=1):
+        def solve(g, block_order=1, **kwargs):
+            assert kwargs.keys() == {"memo"} and kwargs["memo"] is memo
             hints.append((g.order, block_order))
-            return real(g, block_order)
+            return real(g, block_order, **kwargs)
 
         monkeypatch.setattr(families, "adjacency_spectrum", solve)
-        plan.routes("both", {}, graph=plan.build() if given else None)
+        plan.routes("both", memo, graph=plan.build() if given else None)
         assert hints == [(5, 1), (plan.order, 5 if op.coefficient_first else 1)]
 
 

@@ -206,6 +206,28 @@ class TestBlockTwinQuotient:
         adjacency_spectrum(g)
         assert orders == [90]
 
+    def test_the_diagonal_blocks_come_from_the_memo_by_content(self, monkeypatch):
+        # split(2, 2) of a twin-free base has vertex twins (its splitting
+        # vertices), yet its block quotient of order 2n is the smaller one.
+        # Its copies' D is the base, found in the memo; its splitting sets'
+        # D is the zero block, solved at order 1 and stored
+        base = random_graph(30, 0.5, seed=31)
+        assert len(twin_classes(base)) == 30
+        g = generalized_splitting(base, 2, 2)
+        assert len(twin_classes(g)) == 90
+        memo = {base: adjacency_spectrum(base)}
+        orders, real = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: orders.append(a.shape[0]) or real(a))
+        values = adjacency_spectrum(g, 30, memo=memo).values
+        assert orders == [60, 1]
+        assert list(memo) == [base, empty_graph(30)]
+        full = real(g.adjacency.astype(float))[::-1]
+        assert np.max(np.abs(values - full)) <= 1e-9
+        orders.clear()
+        assert np.array_equal(adjacency_spectrum(g, 30, memo=memo).values, values)
+        assert orders == [60]
+
     def test_blocks_that_differ_only_in_their_diagonal_block_are_not_twins(self):
         # blocks 0 and 1 have a zero block between them and the same block to
         # block 2, but their diagonal blocks are a path and its complement

@@ -175,6 +175,26 @@ def test_a_failed_eigensolve_is_not_memoized(monkeypatch):
     assert [m.measured_energy for m in second.members][1] == pytest.approx(12.0)
 
 
+def test_a_failed_diagonal_block_solve_stores_neither_the_block_nor_the_member(monkeypatch):
+    # split(2, 2) of a twin-free base: the block step solves its quotient,
+    # then the copies' diagonal block (the base), then the splitting sets'
+    # zero block at order 1, which fails here
+    base = random_graph(12, 0.5, seed=12)
+    plan = families.MemberPlan(families.OPERATORS["split"], (2, 2), base)
+    real = np.linalg.eigvalsh
+
+    def flaky(a):
+        if a.shape[0] == 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+    memo = {}
+    with pytest.raises(np.linalg.LinAlgError):
+        plan.routes("oracle", memo)
+    assert list(memo) == [base]
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_a_malformed_cap_setting_fails_the_sweep_before_any_point(eigensolves, monkeypatch,
                                                                   value):
