@@ -5,11 +5,10 @@ Graphs are always read from and written to files (or stdout); structured
 results are emitted as deterministic JSON. Exit status is 0 when every
 verification in the invocation passed, 1 when one failed, 2 on usage errors.
 
-`energy --apply` and `spectrum --apply` check one member's two routes
-against each other under `--method both`, by `spectral.agreement`: `energy`'s
-`within_tolerance` means |formula - oracle| <= tol, and `spectrum`'s that the
-two spectra have equal lengths and their largest elementwise delta is <= tol.
-Unlike `verify`, neither holds the built order against the plan's.
+`energy --apply` and `spectrum --apply` report the one member check that
+`verify` makes too, `families.MemberPlan.check`: `within_tolerance` (null
+unless `--method both`) and `order_matches`, whether the built member has
+its planned order (null without `--apply`). Either one false exits 1.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ from .io import FORMATS, read_graph_text, write_graph_text
 from .operators import OPERATORS, Operator, kronecker_product
 # unused here, but bench/tests/test_bench_spans.py reads cli.generalized_splitting
 from .operators import generalized_splitting  # noqa: F401
-from .spectral import (Spectrum, adjacency_spectrum, agreement, check_tolerance,
-                       verification_tolerance)
+from .spectral import Spectrum, adjacency_spectrum, check_tolerance, verification_tolerance
 
 _EXTENSION_FORMATS = {".g6": "graph6", ".graph6": "graph6", ".mtx": "mtx",
                       ".edges": "edges", ".txt": "edges"}
@@ -170,9 +168,7 @@ def cmd_construct(args) -> int:
 
 
 def _spectrum_dict(spectrum: Spectrum | None, tolerance: float) -> dict | None:
-    if spectrum is None:
-        return None
-    return {
+    return None if spectrum is None else {
         "values": [float(v) for v in spectrum.values],
         "multiplicities": [[value, count] for value, count in spectrum.multiplicities(tolerance)],
     }
@@ -191,30 +187,28 @@ def cmd_member(args) -> int:
             f"no closed-form {args.command}"
         )
     spectra = args.command == "spectrum"
-    if op is None:
-        g, predicted, measured, structured = base, None, adjacency_spectrum(base), None
+    plan = None if op is None else families.MemberPlan(op, tuple(op_args), base)
+    g = base if plan is None else plan.build()
+    tol = args.tol or verification_tolerance(g.order if plan is None else plan.order)
+    if plan is None:
+        solved = adjacency_spectrum(g)
+        check = families.MemberCheck(None, solved.energy(), solved)
     else:
-        plan = families.MemberPlan(op, tuple(op_args), base)
-        g = plan.build()
-        predicted, measured, structured = plan.routes(args.method, {}, graph=g,
-                                                      structured=spectra)
-    tol = args.tol if args.tol is not None else verification_tolerance(g.order)
+        check = plan.check(args.method, {}, tol, graph=g, structured=spectra)
 
     report = {"command": args.command, "input": args.input, "applied": args.apply,
               "order": g.order}
     if spectra:
-        report.update(method=args.method, oracle=_spectrum_dict(measured, tol),
-                      formula=_spectrum_dict(structured, tol))
-        delta_key, routes = "max_delta", (structured, measured)
+        report.update(method=args.method, oracle=_spectrum_dict(check.spectrum, tol),
+                      formula=_spectrum_dict(check.structured, tol), max_delta=check.delta)
     else:
-        oracle = None if measured is None else measured.energy()
-        report.update(edge_count=g.edge_count, method=args.method, formula_energy=predicted,
-                      oracle_energy=oracle)
-        delta_key, routes = "delta", (predicted, oracle)
-    largest, within = agreement(routes, tol) if args.method == "both" else (None, None)
-    report.update({delta_key: largest, "tolerance": tol, "within_tolerance": within})
+        report.update(edge_count=g.edge_count, method=args.method,
+                      formula_energy=check.predicted, oracle_energy=check.measured,
+                      delta=check.delta)
+    report.update(tolerance=tol, within_tolerance=check.within,
+                  order_matches=check.order_matches)
     _write_json(report, args.output)
-    return 0 if within is not False else 1
+    return 1 if False in (check.within, check.order_matches) else 0
 
 
 def _base_arguments(args) -> tuple[Graph, ...]:

@@ -84,11 +84,27 @@ def _solved(memo: dict, key, build: Callable[[], Graph] | None = None,
     return spectrum
 
 
+@dataclass(slots=True)
+class MemberCheck:
+    """What `MemberPlan.check` found for one member. A field is None when the
+    method left its route out, or when there was nothing to compare."""
+
+    predicted: float | None  # the closed-form energy
+    measured: float | None  # the energy of `spectrum`
+    spectrum: Spectrum | None  # eigensolved from the built member
+    structured: Spectrum | None = None  # from the spectra of C and the base
+    order_matches: bool | None = None  # the built order against the plan's
+    delta: float | None = None
+    within: bool | None = None
+
+
 @dataclass(frozen=True)
 class MemberPlan:
-    """One member: an operator with its arguments, applied to a base graph.
-    `_member` makes a family's members and refuses one over the dense-order
-    cap by its table label; the command line's builder names its own."""
+    """One member: an operator with its arguments, applied to a base graph,
+    with the order C's closed spectrum plans. `check` is the one member check
+    of `verify`, `energy --apply` and `spectrum --apply`. `_member` makes a
+    family's members and refuses one over the dense-order cap by its table
+    label; the command line's builder names its own."""
 
     operator: Operator
     args: tuple[int, ...]
@@ -107,21 +123,24 @@ class MemberPlan:
     def build(self) -> Graph:
         return self.operator.build(self.base, *self.args)
 
-    def routes(self, method: str, memo: dict, *, graph: Graph | None = None,
-               structured: bool = False) -> tuple[float | None, Spectrum | None, Spectrum | None]:
-        """The routes `method` names, each None when left out: the closed-form
-        energy (the factor times the base energy, closed when the plan
-        carries it), the eigensolved spectrum of the member (`graph` when the
-        caller built it, else built here) and, if `structured`, the member's
-        spectrum from those of C and the base. Eigensolves go through `memo`
-        (see `verify`), except that a graph the caller built is solved
-        directly, not keyed: hashing it would read the whole matrix twice.
-        A `coefficient_first` member, kron(C, A), is laid out in blocks of
-        the base order, so that order is its block-order hint: in split(p,
-        q) of a twin-free base the p copies of the base collapse to one, and
-        their diagonal block, the base, comes from `memo`. Every other
+    def check(self, method: str, memo: dict, tol: float, *, graph: Graph | None = None,
+              structured: bool = False, target: float | None = None) -> MemberCheck:
+        """Check this member under `method`: the closed-form energy (the
+        factor times the base energy, closed when the plan carries it), the
+        spectrum eigensolved from `graph` if the caller built it, else from a
+        build here, and if `structured` the spectrum from those of C and the
+        base. `order_matches` holds the built order against `self.order`.
+        One `agreement` within `tol` compares the structured and eigensolved
+        spectra if `structured`, else `target` and the two energies, when at
+        least two of them are present.
+
+        Eigensolves go through `memo` (see `verify`), but not a `graph` the
+        caller built: hashing it would read the matrix twice. A kron(C, A)
+        member (`coefficient_first`) gets the base order as its block-order
+        hint, so in split(p, q) of a twin-free base the p copies collapse to
+        one whose diagonal block, the base, comes from `memo`; every other
         member gets the hint 1."""
-        predicted = measured = closed = None
+        predicted = measured = spectrum = closed = None
         if method in ("formula", "both"):
             base_energy = self.base_energy_closed
             if base_energy is None:
@@ -133,11 +152,17 @@ class MemberPlan:
         if method in ("oracle", "both"):
             blocks = self.base.order if self.operator.coefficient_first else 1
             if graph is not None:
-                measured = adjacency_spectrum(graph, block_order=blocks, memo=memo)
+                spectrum = adjacency_spectrum(graph, block_order=blocks, memo=memo)
             else:
-                measured = _solved(memo, (self.operator.name, self.args, self.base), self.build,
+                spectrum = _solved(memo, (self.operator.name, self.args, self.base), self.build,
                                    block_order=blocks)
-        return predicted, measured, closed
+            measured = spectrum.energy()
+        built = graph.order if graph is not None else None if spectrum is None else len(spectrum)
+        routes = (closed, spectrum) if structured else (target, predicted, measured)
+        present = [route for route in routes if route is not None]
+        delta, within = agreement(present, tol) if len(present) > 1 else (None, None)
+        return MemberCheck(predicted, measured, spectrum, closed,
+                           None if built is None else built == self.order, delta, within)
 
 
 @dataclass
@@ -156,8 +181,9 @@ class VerificationReport:
     For border-energy families each member is compared against the complete
     graph of its own order, and `target_energy` carries 2(order-1); for
     equal-energy families the members are compared against each other and
-    `target_energy` is null. `orders_equal` is false when a member the oracle
-    route built has another order than its plan states, and for equal-energy
+    `target_energy` is null. Each member is one `MemberPlan.check`.
+    `orders_equal` is false when a check finds a built member (under `oracle`
+    or `both`) of another order than its plan states, and for equal-energy
     families also when the members' orders differ.
 
     A "skipped" or "error" report leaves every field from `tolerance` to
@@ -242,16 +268,10 @@ class Family:
 
 
 def _require_params(spec: FamilySpec, names: tuple[str, ...]) -> dict[str, int]:
-    given = set(spec.parameters)
-    expected = set(names)
+    given, expected = set(spec.parameters), set(names)
     if given != expected:
-        missing = sorted(expected - given)
-        extra = sorted(given - expected)
-        parts = []
-        if missing:
-            parts.append(f"missing {missing}")
-        if extra:
-            parts.append(f"unexpected {extra}")
+        parts = [f"{word} {sorted(diff)}" for word, diff in
+                 (("missing", expected - given), ("unexpected", given - expected)) if diff]
         raise ValueError(
             f"{spec.corollary_id} takes parameters {sorted(expected)}: " + ", ".join(parts)
         )
@@ -414,8 +434,8 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
     method selects the energy routes: "formula" evaluates the closed-form
     scale factors, "oracle" eigensolves the constructed graphs, and "both"
     does both and additionally requires the two routes to agree per member.
-    Each member's routes come from `MemberPlan.routes`; the fixed-base
-    families carry their base energies in closed form.
+    Each member is checked by `MemberPlan.check`; the fixed-base families
+    carry their base energies in closed form.
 
     Eigensolved results go into `_memo`, a fresh dict unless `sweep` hands
     in the one its grid points share. It maps a base Graph, or a diagonal
@@ -429,31 +449,23 @@ def verify(spec: FamilySpec, method: str = "both", tolerance: float | None = Non
     family = get_family(spec.corollary_id)
     params = _require_params(spec, family.param_names)
     plans = _plan(family, params, spec.bases)
-    tol = tolerance if tolerance is not None else verification_tolerance(
-        max(plan.order for plan in plans)
-    )
+    tol = tolerance or verification_tolerance(max(plan.order for plan in plans))
 
     memo = {} if _memo is None else _memo
-    members: list[MemberReport] = []
-    spectra = []
+    checks, members = [], []
     for plan in plans:
-        predicted, spectrum, _ = plan.routes(method, memo)
-        measured = None
-        if spectrum is not None:
-            spectra.append(spectrum)
-            measured = spectrum.energy()
         target = _complete_energy(plan.order) if family.kind == BORDERENERGETIC else None
-        members.append(MemberReport(plan.description, plan.order, predicted, measured, target))
+        checks.append(check := plan.check(method, memo, tol, target=target))
+        members.append(MemberReport(plan.description, plan.order, check.predicted,
+                                    check.measured, target))
+    spectra = [check.spectrum for check in checks if check.spectrum is not None]
 
-    # the values present in each group must agree: a member's routes and its
-    # target, and an equal-energy family's members per route
-    groups = [(m.target_energy, m.predicted_energy, m.measured_energy) for m in members]
-    if family.kind == EQUIENERGETIC:
-        groups += [[m.predicted_energy for m in members], [m.measured_energy for m in members]]
-    energies_equal = all(agreement(group, tol)[1] for group in groups)
-    # a Spectrum holds one value per vertex of the built graph, quotient zeros
-    # included; a borderenergetic member is matched against K_N of its own order
-    orders_equal = all(len(s) == plan.order for s, plan in zip(spectra, plans)) and (
+    # past each member's check, an equal-energy family's members must agree per
+    # route and share one order; a borderenergetic one has K_N of its own order
+    groups = [[m.predicted_energy for m in members], [m.measured_energy for m in members]]
+    energies_equal = all(check.within is not False for check in checks) and (
+        family.kind == BORDERENERGETIC or all(agreement(group, tol)[1] for group in groups))
+    orders_equal = all(check.order_matches is not False for check in checks) and (
         family.kind == BORDERENERGETIC or len({plan.order for plan in plans}) == 1
     )
 
@@ -489,10 +501,7 @@ def sweep(corollary_id: str, ranges: Mapping[str, Sequence[int]],
     non-convergence, yields an "error" report that names it. `bases` are
     the caller's base graphs for every point, as in `FamilySpec`.
 
-    Points run serially on the caller's thread, in grid order: a thread pool
-    lost to the serial loop in 10 of 10 alternating 30 s pairs of
-    `bench/run.py` on sweep-grid (2 CPUs, see CHANGES.md), because each
-    point is mostly Python that holds the interpreter lock. `jobs` is
+    Points run serially on the caller's thread, in grid order. `jobs` is
     ignored and kept only because bench/tests/test_bench_oracle.py passes
     `jobs=1`.
 

@@ -37,12 +37,9 @@ The step is taken when the false-twin quotient leaves more than 2n classes
 and the block quotient's order m n is below that count. Each D_I goes
 through the false-twin quotient once: it is looked up by content in the
 caller's memo, a dict from Graph to Spectrum, and what is solved is stored
-there, so a D_I equal to a base the caller solved is not solved again. The
-twin-free order-900 member split(2, 1) of an order-300 base is solved as
-one order-600 eigensolve, its D being that base, instead of 900; split(4,
-14) of an order-40 base, whose splitting vertices are twins, is solved at
-order 80 instead of 200. A graph that neither quotient reduces is
-eigensolved from `adjacency.astype(float64)` as it stands.
+there, so a D_I equal to a base the caller solved is not solved again. A
+graph that neither quotient reduces is eigensolved from
+`adjacency.astype(float64)` as it stands.
 
 A dense eigensolve of order m holds two float64 copies of the matrix, about
 16 m^2 bytes: the one made here and the one numpy's eigvalsh makes for

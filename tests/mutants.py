@@ -281,9 +281,9 @@ MUTANTS = (
     Mutant(
         "member-graph-rebuilt", "families.py",
         "if graph is not None:\n"
-        "                measured = adjacency_spectrum(graph, block_order=blocks, memo=memo)",
+        "                spectrum = adjacency_spectrum(graph, block_order=blocks, memo=memo)",
         "if False:\n"
-        "                measured = adjacency_spectrum(graph, block_order=blocks, memo=memo)",
+        "                spectrum = adjacency_spectrum(graph, block_order=blocks, memo=memo)",
         ("tests/test_cli.py::TestMemberCheck",),
     ),
     Mutant(
@@ -305,18 +305,27 @@ MUTANTS = (
         "except ValueError:  # int() of inf or nan",
         ("tests/test_families.py::TestDomains::test_a_non_finite_parameter_is_refused_by_name",),
     ),
-    # each check of the verdict, dropped on its own
+    # each check of the verdict, dropped on its own; the first two and the
+    # built order are made per member by `MemberPlan.check`
     Mutant(
         "border-target-unchecked", "families.py",
-        "groups = [(m.target_energy, m.predicted_energy, m.measured_energy) for m in members]",
-        "groups = [(m.predicted_energy, m.measured_energy) for m in members]",
+        "else (target, predicted, measured)",
+        "else (predicted, measured)",
         ("tests/test_families.py::TestEachCheckCanFail",),
     ),
     Mutant(
         "both-routes-unchecked", "families.py",
-        "groups = [(m.target_energy, m.predicted_energy, m.measured_energy) for m in members]",
-        "groups = [(m.target_energy, m.predicted_energy) for m in members]",
+        "else (target, predicted, measured)",
+        "else (target, predicted)",
         ("tests/test_families.py::TestEachCheckCanFail",),
+    ),
+    Mutant(
+        "member-order-matches-always", "families.py",
+        "built == self.order",
+        "True",
+        ("tests/test_families.py::TestBuiltOrder",
+         "tests/test_cli.py::TestMemberCheck"
+         "::test_a_member_built_at_another_order_than_planned_fails"),
     ),
     # the one agreement rule of verify, `energy` and `spectrum` passes any delta
     Mutant(
@@ -356,12 +365,15 @@ MUTANTS = (
         "True",
         ("tests/test_families.py::TestEachCheckCanFail",),
     ),
-    # verdict must fail: the split entry states one base order more than it builds
+    # verdict must fail: the split entry states one base order more than it
+    # builds, and so must `energy --apply` and `spectrum --apply`
     Mutant(
         "split-closed-spectrum-extra-zero", "operators.py",
         "(0, 0, q - 1)",
         "(0, 0, q)",
-        ("tests/test_families.py::TestBuiltOrder::test_split_points_pass_under_both",),
+        ("tests/test_families.py::TestBuiltOrder::test_split_points_pass_under_both",
+         "tests/test_cli.py::TestMemberCheck"
+         "::test_a_member_built_at_another_order_than_planned_fails"),
     ),
     # verdict must fail: on C5_4's iff manifold the wrong graph has the right
     # energy, so `verify C5_4 p=P q=4P-2` still exits 0 for P = 1, 2, 3 under

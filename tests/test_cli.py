@@ -218,8 +218,9 @@ class TestSpectrum:
 
 class TestMemberCheck:
     """`energy --apply` and `spectrum --apply` check one member: each fails
-    on a fault in the closed forms by far more than rounding, and each builds
-    the member once and eigensolves each graph a route reads once."""
+    on a fault in the closed forms by far more than rounding and on a member
+    built at another order than planned, and each builds the member once and
+    eigensolves each graph a route reads once."""
 
     def test_a_wrong_factor_fails_energy(self, monkeypatch, k3_file, capsys):
         monkeypatch.setitem(OPERATORS, "split", with_wrong_factor(OPERATORS["split"]))
@@ -229,7 +230,7 @@ class TestMemberCheck:
         assert payload["delta"] == pytest.approx(16e-6)
         assert list(payload) == ["command", "input", "applied", "order", "edge_count", "method",
                                  "formula_energy", "oracle_energy", "delta", "tolerance",
-                                 "within_tolerance"]
+                                 "within_tolerance", "order_matches"]
         assert payload["tolerance"] == 1e-9
 
     def test_wrong_closed_eigenvalues_fail_spectrum(self, monkeypatch, k3_file, capsys):
@@ -243,7 +244,8 @@ class TestMemberCheck:
         assert (code, payload["within_tolerance"]) == (1, False)
         assert payload["max_delta"] == pytest.approx(4e-6)  # of the product 2 * 2
         assert list(payload) == ["command", "input", "applied", "order", "method", "oracle",
-                                 "formula", "max_delta", "tolerance", "within_tolerance"]
+                                 "formula", "max_delta", "tolerance", "within_tolerance",
+                                 "order_matches"]
         assert payload["tolerance"] == 1e-9
         for route in ("oracle", "formula"):
             assert list(payload[route]) == ["values", "multiplicities"]
@@ -257,6 +259,21 @@ class TestMemberCheck:
         payload = json.loads(out)
         assert (payload["within_tolerance"], payload["max_delta"], err) == (False, None, "")
         assert [len(payload[route]["values"]) for route in ("formula", "oracle")] == [16, 12]
+
+    @pytest.mark.parametrize("command", ["energy", "spectrum"])
+    @pytest.mark.parametrize("method", families.METHODS)
+    def test_a_member_built_at_another_order_than_planned_fails(self, monkeypatch, c4_file,
+                                                                capsys, command, method):
+        argv = [command, c4_file, "--apply", "split:2,1", "--method", method]
+        code, payload = run_json(capsys, argv)
+        assert (code, payload["order"], payload["order_matches"]) == (0, 12, True)
+        # the closed spectrum plans 16 vertices for the member's 12, and its
+        # extra zero leaves E(C) as it is, so only the order check sees it
+        monkeypatch.setitem(OPERATORS, "split", split_with_one_zero_too_many())
+        code, payload = run_json(capsys, argv)
+        assert (code, payload["order"], payload["order_matches"]) == (1, 12, False)
+        if command == "energy":
+            assert payload["within_tolerance"] is (True if method == "both" else None)
 
     # shadow:1 builds a copy of the base: the member the command built is
     # solved directly, not looked up, so under both that content is solved twice

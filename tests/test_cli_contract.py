@@ -1,4 +1,5 @@
-"""The command line's contract on `verify` and `sweep`, under drawn parameters.
+"""The command line's contract on `verify`, `sweep`, `energy --apply` and
+`spectrum --apply`, under drawn parameters.
 
 Whatever the parameters, no exception escapes `cli.main`: exit 0 or 1 prints
 one JSON document and nothing on stderr, exit 2 prints nothing on stdout and
@@ -8,12 +9,15 @@ sweep point whose planned order exceeds the cap is `skipped`, never `error`,
 and `verify` of it exits 2 naming the cap. A one-value sweep binding is
 spelt as a list or as a one-value range. Each draw also runs one extra sweep
 with a binding the parser refuses by name: a reversed range, or one of more
-values than a list can hold. The draw is derandomized, so the sample is the
-same on every run.
+values than a list can hold. `energy --apply` and `spectrum --apply` of
+each command-line operator on C4 exit 0 with `order_matches` true under the
+cap, and 2 naming the cap above it or naming the operator for a parameter
+below 1. The draw is derandomized, so the sample is the same on every run.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -23,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphenergy import OPERATORS
+from graphenergy import OPERATORS, cycle_graph, encode_graph6
 from graphenergy.cli import main
 from graphenergy.families import FAMILIES, METHODS, family_ids
 
@@ -110,3 +114,40 @@ def test_verify_and_sweep_keep_the_contract(family_id, data):
     orders = planned_orders(family_id, point)
     if orders is not None and max(orders) > CAP:
         assert code == 2 and f"exceeding the dense cap of {CAP} " in err, err
+
+
+@pytest.fixture(scope="module")
+def c4_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract") / "c4.g6"
+    path.write_bytes(encode_graph6(cycle_graph(4)) + b"\n")
+    return str(path)
+
+
+def apply_points(name: str) -> dict[str, list[tuple[int, ...]]]:
+    """Every tuple of `VALUES` as the operator's parameters, by what applying
+    it to C4 must do: "below" when a parameter is < 1, "over" when the
+    member's order exceeds the cap, else "in"."""
+    op, points = OPERATORS[name], {"below": [], "over": [], "in": []}
+    for args in itertools.product(VALUES, repeat=len(op.params)):
+        kind = ("below" if min(args) < 1 else "over" if op.dimension(*args) * 4 > CAP
+                else "in")
+        points[kind].append(args)
+    return points
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("name", [op.name for op in OPERATORS.values() if op.cli])
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_energy_and_spectrum_apply_keep_the_contract(c4_file, name, method, data):
+    for kind, points in apply_points(name).items():
+        args = data.draw(st.sampled_from(points))
+        command = data.draw(st.sampled_from(["energy", "spectrum"]))
+        code, out, err = run([command, c4_file, "--apply", f"{name}:{','.join(map(str, args))}",
+                              "--method", method])
+        if kind == "below":
+            assert (code, err.startswith(f"error: {name} needs ")) == (2, True), err
+        elif kind == "over":
+            assert code == 2 and f"exceeding the dense cap of {CAP} " in err, err
+        else:
+            assert (code, json.loads(out)["order_matches"]) == (0, True), out

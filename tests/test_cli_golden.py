@@ -22,8 +22,9 @@ only when an output is meant to change; it records the cases through the same
 child and prints to stderr the ids of the cases the re-record added, removed
 or changed, and whether the layouts changed. For a changed case it also says
 whether only its stderr changed, as when an error is reworded, else whether
-only numbers changed, and by how much at most, so that a re-record that
-moves last digits can be audited.
+its JSON stdout only gained keys at the end of objects, as when a report
+grows a field, else whether only numbers changed, and by how much at most,
+so that a re-record that moves last digits can be audited.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from graphenergy import (
     path_graph,
     random_graph,
 )
+from graphenergy import jsonio
 from graphenergy.cli import main
 from graphenergy.graphs import MAX_ORDER_ENV_VAR
 
@@ -339,15 +341,41 @@ def numeric_change(old: dict, new: dict) -> float | None:
     return largest
 
 
-def _without_stderr(case: dict) -> dict:
-    return {key: value for key, value in case.items() if key != "stderr"}
+def _without(case: dict, key: str) -> dict:
+    return {name: value for name, value in case.items() if name != key}
+
+
+def _leading(new, old):
+    """`new` with each object that `old` has at the same place cut to as many
+    leading keys as `old`'s, and everything else as it is."""
+    if isinstance(new, dict) and isinstance(old, dict):
+        return {key: _leading(value, old.get(key)) for key, value in list(new.items())[:len(old)]}
+    if isinstance(new, list) and isinstance(old, list) and len(new) == len(old):
+        return [_leading(value, was) for value, was in zip(new, old)]
+    return new
+
+
+def appended_keys_only(old: dict, new: dict) -> bool:
+    """Whether two recordings of one case differ only by keys that the new
+    stdout appends at the end of its JSON objects: the exit code, stderr and
+    written file are kept, the new stdout is what `jsonio` writes for the
+    tree it parses to, and that tree, cut to the old keys, is written as the
+    old stdout byte for byte."""
+    if _without(old, "stdout") != _without(new, "stdout"):
+        return False
+    try:
+        was, now = json.loads(old["stdout"]), json.loads(new["stdout"])
+    except (KeyError, ValueError):
+        return False
+    return jsonio.dumps(now) == new["stdout"] and jsonio.dumps(_leading(now, was)) == old["stdout"]
 
 
 def record_diff(old: dict, new: dict) -> list[str]:
     """What a re-record changes: the ids of added, removed and changed cases,
     for each changed case whether only its stderr changed (its exit code,
-    stdout and written file kept), else whether only numbers changed and by
-    how much at most, and whether the layout digests changed."""
+    stdout and written file kept), else whether its stdout only appends keys
+    to JSON objects (see `appended_keys_only`), else whether only numbers
+    changed and by how much at most, and whether the layout digests changed."""
     lines = [f"added: {case_id}" for case_id in new["cases"] if case_id not in old["cases"]]
     lines += [f"removed: {case_id}" for case_id in old["cases"] if case_id not in new["cases"]]
     for case_id, case in new["cases"].items():
@@ -356,7 +384,8 @@ def record_diff(old: dict, new: dict) -> list[str]:
             continue
         change = numeric_change(was, case)
         lines.append(f"changed: {case_id} (" + (
-            "stderr only" if _without_stderr(was) == _without_stderr(case)
+            "stderr only" if _without(was, "stderr") == _without(case, "stderr")
+            else "appended keys only" if appended_keys_only(was, case)
             else "not numbers only" if change is None
             else f"numbers only, largest change {change:.1e}") + ")")
     lines.append("layouts: " + ("changed" if new["layouts"] != old["layouts"] else "unchanged"))
@@ -428,6 +457,32 @@ def test_record_diff_tells_number_changes_from_other_changes():
     for other in (reworded(stderr="", exit=1), reworded(stdout="{}\n", stderr=""),
                   reworded(written="0 1\n")):
         assert other == "changed: c (not numbers only)"
+
+    # a report that gains keys at the end of its objects, with its exit code,
+    # stderr and written file kept
+    report = {"order": 12, "oracle": {"values": [2.0, -2.0]}, "within_tolerance": True}
+
+    def appended(new, **case):
+        old = {"exit": 1, "stdout": jsonio.dumps(report), "stderr": ""}
+        return record_diff({"cases": {"c": old}, "layouts": {}},
+                           {"cases": {"c": {**old, "stdout": jsonio.dumps(new), **case}},
+                            "layouts": {}})[0]
+    assert appended({**report, "order_matches": False}) == "changed: c (appended keys only)"
+    assert appended({**report, "oracle": {"values": [2.0, -2.0], "n": 2}}) == \
+        "changed: c (appended keys only)"
+    for other in (appended({"n": 2, **report}),
+                  appended({**report, "order": 13, "order_matches": False}),
+                  appended({**report, "oracle": {"values": [2.0, -2.0, 0.0]}}),
+                  appended({**report, "order_matches": False}, exit=0),
+                  appended({**report, "order_matches": False}, stderr="warning\n"),
+                  appended({**report, "order_matches": False}, written="0 1\n")):
+        assert other == "changed: c (not numbers only)"
+    # the old keys keep their bytes: the same tree written another way is no append
+    old = {"exit": 1, "stdout": jsonio.dumps(report), "stderr": ""}
+    compact = {**old, "stdout": json.dumps({**report, "order_matches": False}) + "\n"}
+    assert record_diff({"cases": {"c": old}, "layouts": {}},
+                       {"cases": {"c": compact}, "layouts": {}})[0] == \
+        "changed: c (not numbers only)"
 
 
 if __name__ == "__main__":

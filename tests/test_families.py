@@ -414,7 +414,7 @@ class TestBlockOrderHint:
             return real(g, block_order, **kwargs)
 
         monkeypatch.setattr(families, "adjacency_spectrum", solve)
-        plan.routes("both", memo, graph=plan.build() if given else None)
+        plan.check("both", memo, 1e-8, graph=plan.build() if given else None)
         assert hints == [(5, 1), (plan.order, 5 if op.coefficient_first else 1)]
 
 
